@@ -2,44 +2,21 @@
 //! hysteresis streaks on both edges so a single noisy evaluation can
 //! neither fire nor silence an alert.
 
-/// Lifecycle state of one SLO's alert.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum AlertState {
-    /// Objective met; no recent breach.
-    Ok,
-    /// Breaching, but not for long enough to fire yet.
-    Pending,
-    /// Breaching for at least `pending_evals` consecutive evaluations.
-    Firing,
-    /// Was firing, has been healthy for `clear_evals` evaluations; one
-    /// more healthy streak returns it to [`AlertState::Ok`].
-    Resolved,
-}
-
-impl AlertState {
-    /// Every state, in severity order (used to pre-register metric
-    /// label values and to compute the overall verdict).
-    pub const ALL: [AlertState; 4] =
-        [AlertState::Ok, AlertState::Pending, AlertState::Firing, AlertState::Resolved];
-
-    /// Stable lowercase label for metrics and JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            AlertState::Ok => "ok",
-            AlertState::Pending => "pending",
-            AlertState::Firing => "firing",
-            AlertState::Resolved => "resolved",
-        }
-    }
-
-    /// Dense index for per-state counters.
-    pub fn index(self) -> usize {
-        match self {
-            AlertState::Ok => 0,
-            AlertState::Pending => 1,
-            AlertState::Firing => 2,
-            AlertState::Resolved => 3,
-        }
+chemcost_obs::label_enum! {
+    /// Lifecycle state of one SLO's alert, in severity order. The
+    /// labels pre-register the alert-transition metric and name the
+    /// states in JSON.
+    #[derive(PartialOrd, Ord)]
+    pub enum AlertState {
+        /// Objective met; no recent breach.
+        Ok => "ok",
+        /// Breaching, but not for long enough to fire yet.
+        Pending => "pending",
+        /// Breaching for at least `pending_evals` consecutive evaluations.
+        Firing => "firing",
+        /// Was firing, has been healthy for `clear_evals` evaluations; one
+        /// more healthy streak returns it to [`AlertState::Ok`].
+        Resolved => "resolved",
     }
 }
 

@@ -1,26 +1,6 @@
-//! Minimal JSON emission helpers. The health surfaces hand-render
-//! their JSON (this crate cannot depend on serve's parser), so the
-//! two lossy spots — string escaping and non-finite floats — live
-//! here, tested.
-
-/// Escape a string for inclusion inside JSON double quotes.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+//! Number emission for the hand-rendered health JSON. Strings go
+//! through `chemcost_obs::write_json_string`; the lossy spot left here
+//! is non-finite floats.
 
 /// Render a float as a JSON value. JSON has no NaN/Infinity; those
 /// become `null` (the health endpoints use NaN for "no data yet").
@@ -43,13 +23,6 @@ pub fn json_num(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escapes_quotes_backslashes_and_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd\te\r"), "a\\\"b\\\\c\\nd\\te\\r");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_escape("plain"), "plain");
-    }
 
     #[test]
     fn numbers_render_compactly() {

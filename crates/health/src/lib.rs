@@ -48,7 +48,7 @@ mod window;
 pub use alert::{AlertMachine, AlertState, Transition};
 pub use config::{parse_duration, parse_slo_file};
 pub use hub::{HealthConfig, HealthHub, SloStatus, Verdict};
-pub use json::{json_escape, json_num};
+pub use json::json_num;
 pub use ring::{Ring, RingStats};
 pub use schema::{HistSample, HistSchema, Sample, Schema};
 pub use slo::{Cmp, EvalPoint, Signal, SloEngine, SloSpec};

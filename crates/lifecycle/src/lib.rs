@@ -97,58 +97,30 @@ impl Default for LifecycleConfig {
     }
 }
 
-/// Why a retrain job was enqueued.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetrainReason {
-    /// The group's Page-Hinkley detector tripped.
-    DriftTrip,
-    /// The retained-observation pool crossed `pool_trigger`.
-    PoolThreshold,
-    /// Explicit operator request.
-    Operator,
-}
-
-impl RetrainReason {
-    /// Label used in events and JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            RetrainReason::DriftTrip => "drift-trip",
-            RetrainReason::PoolThreshold => "pool-threshold",
-            RetrainReason::Operator => "operator",
-        }
+chemcost_obs::label_enum! {
+    /// Why a retrain job was enqueued; the label names it in events and
+    /// JSON.
+    pub enum RetrainReason {
+        /// The group's Page-Hinkley detector tripped.
+        DriftTrip => "drift-trip",
+        /// The retained-observation pool crossed `pool_trigger`.
+        PoolThreshold => "pool-threshold",
+        /// Explicit operator request.
+        Operator => "operator",
     }
 }
 
-/// Outcome recorded on `chemcost_lifecycle_promotions_total{outcome=...}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PromotionOutcome {
-    /// Guarded auto-promotion: shadow beat serving by the guardband.
-    Auto,
-    /// Operator forced the promotion via the CLI.
-    Operator,
-    /// Candidate rejected (fit failure, poison, or guardband never met).
-    Rejected,
-    /// A promoted version was rolled back.
-    RolledBack,
-}
-
-impl PromotionOutcome {
-    /// Every outcome, in metric-registration order.
-    pub const ALL: [PromotionOutcome; 4] = [
-        PromotionOutcome::Auto,
-        PromotionOutcome::Operator,
-        PromotionOutcome::Rejected,
-        PromotionOutcome::RolledBack,
-    ];
-
-    /// Metric label for this outcome.
-    pub fn label(self) -> &'static str {
-        match self {
-            PromotionOutcome::Auto => "auto",
-            PromotionOutcome::Operator => "operator",
-            PromotionOutcome::Rejected => "rejected",
-            PromotionOutcome::RolledBack => "rolled-back",
-        }
+chemcost_obs::label_enum! {
+    /// Outcome recorded on `chemcost_lifecycle_promotions_total{outcome=...}`.
+    pub enum PromotionOutcome {
+        /// Guarded auto-promotion: shadow beat serving by the guardband.
+        Auto => "auto",
+        /// Operator forced the promotion via the CLI.
+        Operator => "operator",
+        /// Candidate rejected (fit failure, poison, or guardband never met).
+        Rejected => "rejected",
+        /// A promoted version was rolled back.
+        RolledBack => "rolled-back",
     }
 }
 

@@ -17,61 +17,33 @@
 //! transitions; anything else is applied (the state is authoritative) but
 //! not counted, so a buggy caller cannot inflate the transition counters.
 
-/// State of one (model, machine) group in the retrain/shadow/promote loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LifecycleState {
-    /// No candidate in flight; the serving model answers alone.
-    Idle,
-    /// A retrain job is waiting in the trainer queue.
-    Queued,
-    /// The background trainer is fitting a candidate right now.
-    Training,
-    /// A candidate silently scores live traffic alongside the serving model.
-    Shadow,
-    /// The last candidate was promoted into the registry.
-    Promoted,
-    /// The last candidate was rejected (fit failure, poison, or guardband).
-    Rejected,
-    /// The serving model was rolled back to its pre-promotion version.
-    RolledBack,
+chemcost_obs::label_enum! {
+    /// State of one (model, machine) group in the retrain/shadow/promote
+    /// loop. The label names it in metrics and JSON.
+    #[derive(Hash)]
+    pub enum LifecycleState {
+        /// No candidate in flight; the serving model answers alone.
+        Idle => "idle",
+        /// A retrain job is waiting in the trainer queue.
+        Queued => "queued",
+        /// The background trainer is fitting a candidate right now.
+        Training => "training",
+        /// A candidate silently scores live traffic alongside the serving model.
+        Shadow => "shadow",
+        /// The last candidate was promoted into the registry.
+        Promoted => "promoted",
+        /// The last candidate was rejected (fit failure, poison, or guardband).
+        Rejected => "rejected",
+        /// The serving model was rolled back to its pre-promotion version.
+        RolledBack => "rolled-back",
+    }
 }
 
 impl LifecycleState {
-    /// Every state, in gauge-code order.
-    pub const ALL: [LifecycleState; 7] = [
-        LifecycleState::Idle,
-        LifecycleState::Queued,
-        LifecycleState::Training,
-        LifecycleState::Shadow,
-        LifecycleState::Promoted,
-        LifecycleState::Rejected,
-        LifecycleState::RolledBack,
-    ];
-
-    /// Stable numeric code exported on the per-group state gauge.
+    /// Stable numeric code exported on the per-group state gauge: the
+    /// position in [`LifecycleState::ALL`].
     pub fn code(self) -> u8 {
-        match self {
-            LifecycleState::Idle => 0,
-            LifecycleState::Queued => 1,
-            LifecycleState::Training => 2,
-            LifecycleState::Shadow => 3,
-            LifecycleState::Promoted => 4,
-            LifecycleState::Rejected => 5,
-            LifecycleState::RolledBack => 6,
-        }
-    }
-
-    /// Metric/JSON label for this state.
-    pub fn label(self) -> &'static str {
-        match self {
-            LifecycleState::Idle => "idle",
-            LifecycleState::Queued => "queued",
-            LifecycleState::Training => "training",
-            LifecycleState::Shadow => "shadow",
-            LifecycleState::Promoted => "promoted",
-            LifecycleState::Rejected => "rejected",
-            LifecycleState::RolledBack => "rolled-back",
-        }
+        self as u8
     }
 }
 

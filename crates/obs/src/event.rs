@@ -2,6 +2,7 @@
 //! struct every sink consumes.
 
 use std::fmt;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Verbosity level, ordered from most to least severe.
@@ -296,8 +297,10 @@ impl Event {
     }
 }
 
-/// Append `s` to `out` as a quoted, escaped JSON string.
-pub(crate) fn write_json_string(out: &mut String, s: &str) {
+/// Append `s` to `out` as a quoted, escaped JSON string. The one JSON
+/// string escaper of the workspace: the serve encoder and the health
+/// surfaces write strings through it too.
+pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -306,7 +309,9 @@ pub(crate) fn write_json_string(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
@@ -337,9 +342,18 @@ mod tests {
 
     #[test]
     fn json_string_escaping() {
-        let mut out = String::new();
-        write_json_string(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, r#""a\"b\\c\nd\u0001""#);
+        let escaped = |s: &str| {
+            let mut out = String::new();
+            write_json_string(&mut out, s);
+            out
+        };
+        assert_eq!(escaped("a\"b\\c\nd\te\r"), r#""a\"b\\c\nd\te\r""#);
+        assert_eq!(escaped("a\"b\\c\nd\u{1}"), r#""a\"b\\c\nd\u0001""#);
+        assert_eq!(escaped("\u{1}\u{1f}"), r#""\u0001\u001f""#);
+        assert_eq!(escaped("plain"), r#""plain""#);
+        assert_eq!(escaped(""), r#""""#);
+        // Non-ASCII passes through unescaped (JSON text is UTF-8).
+        assert_eq!(escaped("é π 𝄞"), "\"é π 𝄞\"");
     }
 
     #[test]

@@ -51,6 +51,7 @@
 
 mod dispatch;
 mod event;
+mod label;
 mod sink;
 mod span;
 mod timeline;
@@ -59,7 +60,8 @@ pub use dispatch::{
     add_sink, dispatch_event, enabled, flush, global, init_from_env, next_trace_id, remove_sink,
     set_level, Dispatcher, SinkHandle,
 };
-pub use event::{Event, Field, Level, Value};
+pub use event::{write_json_string, Event, Field, Level, Value};
+pub use label::LabelValue;
 pub use sink::{JsonlSink, RingSink, Sink, TextSink};
 pub use span::{current_trace, Span, TraceScope};
 pub use timeline::Timeline;

@@ -33,7 +33,7 @@ use crate::metrics::Metrics;
 use crate::timeline;
 use chemcost_linalg::Matrix;
 use chemcost_ml::flat::FlatGbt;
-use chemcost_obs::{self as obs, Level};
+use chemcost_obs::{self as obs, label_enum, Level};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -45,44 +45,19 @@ pub const DEFAULT_WINDOW: Duration = Duration::from_micros(200);
 /// Default row budget per coalesced batch.
 pub const DEFAULT_MAX_ROWS: usize = 1024;
 
-/// Why the collector closed a batch and called the model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlushReason {
-    /// The coalesced row count reached the `--batch-max` budget.
-    Full,
-    /// The `--batch-window-us` wait expired.
-    Window,
-    /// Every thread inside a predict-capable route had already
-    /// submitted — nothing more could join, so waiting would only add
-    /// latency. The common flush at low concurrency.
-    Drain,
-    /// The batcher is shutting down; leftovers are scored, never dropped.
-    Shutdown,
-}
-
-impl FlushReason {
-    /// Every reason, in exposition order.
-    pub const ALL: [FlushReason; 4] =
-        [FlushReason::Full, FlushReason::Window, FlushReason::Drain, FlushReason::Shutdown];
-
-    /// Position in [`FlushReason::ALL`] (metric array index).
-    pub fn index(self) -> usize {
-        match self {
-            FlushReason::Full => 0,
-            FlushReason::Window => 1,
-            FlushReason::Drain => 2,
-            FlushReason::Shutdown => 3,
-        }
-    }
-
-    /// The Prometheus label value.
-    pub fn label(self) -> &'static str {
-        match self {
-            FlushReason::Full => "full",
-            FlushReason::Window => "window",
-            FlushReason::Drain => "drain",
-            FlushReason::Shutdown => "shutdown",
-        }
+label_enum! {
+    /// Why the collector closed a batch and called the model.
+    pub enum FlushReason {
+        /// The coalesced row count reached the `--batch-max` budget.
+        Full => "full",
+        /// The `--batch-window-us` wait expired.
+        Window => "window",
+        /// Every thread inside a predict-capable route had already
+        /// submitted — nothing more could join, so waiting would only add
+        /// latency. The common flush at low concurrency.
+        Drain => "drain",
+        /// The batcher is shutting down; leftovers are scored, never dropped.
+        Shutdown => "shutdown",
     }
 }
 
@@ -477,7 +452,7 @@ mod tests {
         let x = some_rows(32, 9);
         let expect = flat.predict_batch(&x);
         assert_eq!(batcher.predict(&flat, x), expect);
-        assert_eq!(metrics.batch_flushes(FlushReason::Full), 1);
+        assert_eq!(metrics.batch_flushes[FlushReason::Full].get(), 1);
         batcher.shutdown();
     }
 
@@ -495,7 +470,7 @@ mod tests {
             "solo predict waited the window: {:?}",
             started.elapsed()
         );
-        assert_eq!(metrics.batch_flushes(FlushReason::Drain), 1);
+        assert_eq!(metrics.batch_flushes[FlushReason::Drain].get(), 1);
         batcher.shutdown();
     }
 
@@ -509,8 +484,8 @@ mod tests {
         let x = some_rows(3, 5);
         let expect = flat.predict_batch(&x);
         assert_eq!(batcher.predict(&flat, x), expect);
-        assert_eq!(metrics.batch_flushes(FlushReason::Shutdown), 1);
-        assert_eq!(metrics.batch_flushes(FlushReason::Full), 0);
+        assert_eq!(metrics.batch_flushes[FlushReason::Shutdown].get(), 1);
+        assert_eq!(metrics.batch_flushes[FlushReason::Full].get(), 0);
     }
 
     /// Satellite (PR 8): a flush emits one `batch.flush` obs event with

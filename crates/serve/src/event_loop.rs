@@ -311,7 +311,8 @@ pub(crate) fn run(
         lp.drain_completions();
         lp.maybe_start_drain();
         lp.sweep_idle();
-        lp.metrics.record_loop_iteration(iter_start.elapsed(), events.len());
+        lp.metrics.loop_iteration.observe(iter_start.elapsed());
+        lp.metrics.loop_events_per_wake.observe(events.len());
         if lp.draining && lp.conns.is_empty() {
             return Ok(());
         }
@@ -365,13 +366,13 @@ impl Loop<'_> {
                     "http.shed",
                     open_conns = self.conns.len(),
                     max_conns = self.config.max_conns,
-                    shed_total = self.metrics.shed_total(),
+                    shed_total = self.metrics.shed.get(),
                 );
                 let resp = Response::json(503, r#"{"error":"server overloaded"}"#);
                 conn.enqueue_response(&resp, false);
                 conn.closing = true;
             }
-            self.metrics.inc_connections_open();
+            self.metrics.connections_open.inc();
             self.conns.insert(token, conn);
             self.drive(token);
         }
@@ -494,7 +495,7 @@ impl Loop<'_> {
                     }
                     conn.requests += 1;
                     if conn.requests > 1 {
-                        self.metrics.record_keepalive_reuse();
+                        self.metrics.keepalive_reuses.inc();
                     }
                     let seq = conn.next_seq;
                     conn.next_seq += 1;
@@ -569,9 +570,9 @@ impl Loop<'_> {
         // The guard moves into the job and drops when handling ends.
         let batch_interest =
             self.router.is_batched_path(&req.path).then(|| self.router.batch_interest());
-        self.metrics.pool_enqueued();
+        self.metrics.pool_queue_depth.inc();
         let job: crate::pool::Job = Box::new(move || {
-            metrics.pool_dequeued();
+            metrics.pool_queue_depth.dec();
             // Chaos slow-io: the stall a seizing disk or GC pause would
             // cause, now on the worker so the loop thread never blocks.
             // It lands in the queue stage: the worker not getting to the
@@ -589,13 +590,13 @@ impl Loop<'_> {
             let _ = waker.wake();
         });
         if self.pool.execute(job).is_err() {
-            self.metrics.pool_dequeued();
+            self.metrics.pool_queue_depth.dec();
             self.metrics.record_shed();
             chemcost_obs::event!(
                 chemcost_obs::Level::Warn,
                 "http.shed",
                 queue_cap = self.pool.queue_cap(),
-                shed_total = self.metrics.shed_total(),
+                shed_total = self.metrics.shed.get(),
             );
             let resp = Response::json(503, r#"{"error":"server overloaded"}"#);
             self.apply_done(Done { token, seq, response: resp, keep_alive, timeline: None });
@@ -681,16 +682,16 @@ impl Loop<'_> {
         if read_gated != conn.read_paused {
             conn.read_paused = read_gated;
             match read_gated {
-                true => metrics.inc_read_paused(),
-                false => metrics.dec_read_paused(),
+                true => metrics.read_paused.inc(),
+                false => metrics.read_paused.dec(),
             }
         }
         let stalled = !conn.write_buf.is_empty();
         if stalled != conn.write_stalled {
             conn.write_stalled = stalled;
             match stalled {
-                true => metrics.inc_write_stalled(),
-                false => metrics.dec_write_stalled(),
+                true => metrics.write_stalled.inc(),
+                false => metrics.write_stalled.dec(),
             }
         }
         let desired = conn.desired_interest();
@@ -726,7 +727,7 @@ impl Loop<'_> {
     fn finalize_timeline(&self, timeline: TimelineBuilder) {
         let done = timeline.complete(Instant::now());
         for (stage, duration) in done.stage_durations() {
-            self.metrics.record_request_stage(stage, duration);
+            self.metrics.request_stages[stage].observe(duration);
         }
         done.emit_event();
         self.router.flight().record(done);
@@ -765,12 +766,12 @@ impl Loop<'_> {
                 let _ = self.poller.deregister(conn.stream.as_raw_fd());
             }
             if conn.read_paused {
-                self.metrics.dec_read_paused();
+                self.metrics.read_paused.dec();
             }
             if conn.write_stalled {
-                self.metrics.dec_write_stalled();
+                self.metrics.write_stalled.dec();
             }
-            self.metrics.dec_connections_open();
+            self.metrics.connections_open.dec();
         }
     }
 

@@ -29,6 +29,7 @@
 //! logic stays in this module, out of the hot loop.
 
 use crate::metrics::Metrics;
+use chemcost_obs::label_enum;
 use parking_lot::RwLock;
 use std::io::Read;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,50 +42,19 @@ pub const CHAOS_SEED_ENV: &str = "CHEMCOST_CHAOS_SEED";
 /// Default decision seed when [`CHAOS_SEED_ENV`] is unset.
 pub const DEFAULT_CHAOS_SEED: u64 = 42;
 
-/// The injectable fault kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Sleep before reading the request.
-    SlowIo,
-    /// Drop the connection mid-response.
-    DropConn,
-    /// Truncate the request stream early.
-    TruncateBody,
-    /// Pretend the pool queue is full (shed with 503).
-    Saturate,
-    /// Fail a model reload as if the file were corrupt.
-    PoisonReload,
-}
-
-impl FaultKind {
-    /// Every kind, in metrics label order.
-    pub const ALL: [FaultKind; 5] = [
-        FaultKind::SlowIo,
-        FaultKind::DropConn,
-        FaultKind::TruncateBody,
-        FaultKind::Saturate,
-        FaultKind::PoisonReload,
-    ];
-
-    pub(crate) fn index(self) -> usize {
-        match self {
-            FaultKind::SlowIo => 0,
-            FaultKind::DropConn => 1,
-            FaultKind::TruncateBody => 2,
-            FaultKind::Saturate => 3,
-            FaultKind::PoisonReload => 4,
-        }
-    }
-
-    /// The Prometheus `kind` label value.
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultKind::SlowIo => "slow-io",
-            FaultKind::DropConn => "drop-conn",
-            FaultKind::TruncateBody => "truncate-body",
-            FaultKind::Saturate => "saturate",
-            FaultKind::PoisonReload => "poison-reload",
-        }
+label_enum! {
+    /// The injectable fault kinds.
+    pub enum FaultKind {
+        /// Sleep before reading the request.
+        SlowIo => "slow-io",
+        /// Drop the connection mid-response.
+        DropConn => "drop-conn",
+        /// Truncate the request stream early.
+        TruncateBody => "truncate-body",
+        /// Pretend the pool queue is full (shed with 503).
+        Saturate => "saturate",
+        /// Fail a model reload as if the file were corrupt.
+        PoisonReload => "poison-reload",
     }
 }
 
@@ -291,7 +261,7 @@ impl FaultPlane {
         if inject {
             self.injected[kind.index()].fetch_add(1, Ordering::Relaxed);
             if let Some(metrics) = &*self.metrics.read() {
-                metrics.record_fault(kind);
+                metrics.faults_injected[kind].inc();
             }
             chemcost_obs::event!(
                 chemcost_obs::Level::Warn,

@@ -2,17 +2,20 @@
 //!
 //! `chemcost-health` is deliberately ignorant of this crate: it stores
 //! and judges abstract named series. This module owns the mapping —
-//! which [`Metrics`] readers feed which schema series, what the
-//! built-in SLOs are, and the background sampler thread that
-//! self-scrapes the registry every `--scrape-interval-ms` into the
-//! hub's delta-compressed ring.
+//! the schema is derived from the `health` keys of the metric family
+//! table ([`FAMILIES`]) — plus the built-in SLOs and the background
+//! sampler thread that self-scrapes the registry every
+//! `--scrape-interval-ms` into the hub's delta-compressed ring.
 //!
 //! Schema series names are stable, dot-separated, and documented in
 //! `docs/HEALTH.md`; `--slo-file` rules reference them by name or
 //! prefix. Per-group quality series (`quality.mape.<model>@<machine>`)
-//! are fixed at sampler start from the groups registered at that
-//! moment — groups appearing later (a model added mid-run) join the
-//! schema on the next restart.
+//! are fixed at sampler start, which is complete because the
+//! `(model, machine)` set is fixed at startup: models enter the
+//! registry only when the daemon loads its model file, and reload,
+//! promote and rollback keep a model's name and machine and only bump
+//! its version. Each group series aggregates over the group's
+//! versions, so a new version feeds the existing series.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -24,9 +27,7 @@ use chemcost_health::{
 };
 use chemcost_obs::{self as obs, Level};
 
-use crate::batcher::FlushReason;
-use crate::fault::FaultKind;
-use crate::metrics::{AdviseStage, DeadlineStage, Metrics, RequestStage, Route};
+use crate::metrics::{HealthKey, Histogram, Kind, Labels, Metrics, Scale, Source, FAMILIES};
 use crate::routes::Router;
 
 /// The built-in objectives, evaluated out of the box (and joined by
@@ -77,80 +78,127 @@ pub fn builtin_slos() -> Vec<SloSpec> {
     ]
 }
 
+/// One schema series value read out of the registry.
+enum Reading {
+    Counter(u64),
+    Gauge(i64),
+    Value(f64),
+    Hist(&'static [f64], HistSample),
+}
+
+/// Every schema series, in family-table order, for the quality groups
+/// `groups`. The schema and every sample are built from this one walk,
+/// so their series orders cannot drift apart.
+fn readings(metrics: &Metrics, groups: &[(String, String)]) -> Vec<(String, Reading)> {
+    let quality = metrics.quality_entries();
+    let mut out = Vec::new();
+    for fam in FAMILIES {
+        let source = (fam.source)(metrics);
+        match fam.health {
+            HealthKey::None => {}
+            HealthKey::Each(key) => {
+                for (i, reading) in fixed_readings(&source).into_iter().enumerate() {
+                    let name = match fam.labels {
+                        Labels::Enum(_, values) => format!("{key}.{}", values[i]),
+                        _ => key.to_string(),
+                    };
+                    out.push((name, reading));
+                }
+            }
+            HealthKey::Sum(key) => {
+                let total = fixed_readings(&source)
+                    .iter()
+                    .map(|r| if let Reading::Counter(v) = r { *v } else { 0 })
+                    .sum();
+                out.push((key.to_string(), Reading::Counter(total)));
+            }
+            HealthKey::Totals(count, sum) => {
+                for reading in fixed_readings(&source) {
+                    if let Reading::Hist(_, h) = reading {
+                        out.push((count.to_string(), Reading::Counter(h.count)));
+                        if let Some(sum) = sum {
+                            out.push((sum.to_string(), Reading::Counter(h.sum_micros)));
+                        }
+                    }
+                }
+            }
+            HealthKey::Group(key) => {
+                let Source::Quality(read) = source else {
+                    unreachable!("{}: groups need a quality reading", fam.name)
+                };
+                for (model, machine) in groups {
+                    let versions = quality
+                        .iter()
+                        .filter(|e| &e.model == model && &e.machine == machine)
+                        .map(|e| read(&e.stats, 0));
+                    let reading = match fam.kind {
+                        Kind::Counter => Reading::Counter(versions.map(|v| v as u64).sum()),
+                        // Worst version with data; NaN until any has.
+                        _ => Reading::Value(
+                            versions.filter(|v| !v.is_nan()).fold(f64::NAN, f64::max),
+                        ),
+                    };
+                    out.push((format!("{key}.{model}@{machine}"), reading));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// One reading per fixed series of a family's handles.
+fn fixed_readings(source: &Source) -> Vec<Reading> {
+    fn hists<S: Scale>(h: &[Histogram<S>]) -> Vec<Reading> {
+        let sample = |(buckets, sum_micros, count): ([u64; 11], u64, u64)| HistSample {
+            buckets: buckets.to_vec(),
+            sum_micros,
+            count,
+        };
+        h.iter().map(|h| Reading::Hist(S::BOUNDS, sample(h.snapshot()))).collect()
+    }
+    match source {
+        Source::Counters(h) => h.iter().map(|c| Reading::Counter(c.get())).collect(),
+        Source::Sharded(h) => h.iter().map(|c| Reading::Counter(c.get())).collect(),
+        Source::Gauges(h) => h.iter().map(|g| Reading::Gauge(g.get() as i64)).collect(),
+        Source::Value(v) => vec![Reading::Value(*v)],
+        Source::Seconds(h) => hists(h),
+        Source::Rows(h) => hists(h),
+        Source::Build | Source::Quality(_) | Source::Lifecycle => Vec::new(),
+    }
+}
+
 /// Samples one [`Metrics`] registry into [`Sample`]s with a fixed
 /// schema. Construction captures the quality groups registered at that
-/// moment; `sample()` then reads every series in schema order.
+/// moment (the startup set; see the module docs).
 pub struct MetricsSampler {
     schema: Arc<Schema>,
-    /// `(model, machine)` pairs feeding the per-group series, in
-    /// schema order.
+    /// `(model, machine)` pairs feeding the per-group series.
     groups: Vec<(String, String)>,
 }
 
 impl MetricsSampler {
-    /// Build the sampler and its schema from the currently registered
-    /// quality groups.
+    /// Build the sampler and its schema from the family table and the
+    /// currently registered quality groups.
     pub fn new(metrics: &Metrics) -> MetricsSampler {
         let mut groups: Vec<(String, String)> = Vec::new();
         for entry in metrics.quality_entries() {
-            let key = (entry.model.clone(), entry.machine.clone());
+            let key = (entry.model, entry.machine);
             if !groups.contains(&key) {
                 groups.push(key);
             }
         }
-        let mut counters = Vec::new();
-        for route in Route::ALL {
-            counters.push(format!("requests.{}", route.label()));
+        let mut schema = Schema::default();
+        for (name, reading) in readings(metrics, &groups) {
+            match reading {
+                Reading::Counter(_) => schema.counters.push(name),
+                Reading::Gauge(_) => schema.gauges.push(name),
+                Reading::Value(_) => schema.values.push(name),
+                Reading::Hist(bounds, _) => {
+                    schema.histograms.push(HistSchema { name, bounds: bounds.to_vec() })
+                }
+            }
         }
-        for route in Route::ALL {
-            counters.push(format!("errors.{}", route.label()));
-        }
-        counters.push("shed".into());
-        counters.push("deadline_exceeded".into());
-        counters.push("reload_failures".into());
-        counters.push("stale_served".into());
-        counters.push("keepalive_reuses".into());
-        counters.push("cache.hits".into());
-        counters.push("cache.misses".into());
-        counters.push("quality.accepted".into());
-        counters.push("quality.rejected".into());
-        for reason in FlushReason::ALL {
-            counters.push(format!("batch.flush.{}", reason.label()));
-        }
-        counters.push("batch.calls".into());
-        counters.push("batch.rows".into());
-        counters.push("loop.iterations".into());
-        for (model, machine) in &groups {
-            counters.push(format!("quality.drift_trips.{model}@{machine}"));
-        }
-        let gauges = vec![
-            "inflight".to_string(),
-            "queue.depth".to_string(),
-            "connections.open".to_string(),
-            "connections.read_paused".to_string(),
-            "connections.write_stalled".to_string(),
-            "cache.entries".to_string(),
-        ];
-        let mut values = vec!["staleness_seconds".to_string()];
-        for (model, machine) in &groups {
-            values.push(format!("quality.mape.{model}@{machine}"));
-        }
-        let bounds: Vec<f64> = Metrics::histogram_bounds().to_vec();
-        let mut histograms = vec![HistSchema { name: "latency".into(), bounds: bounds.clone() }];
-        for stage in AdviseStage::ALL {
-            histograms.push(HistSchema {
-                name: format!("advise.{}", stage.label()),
-                bounds: bounds.clone(),
-            });
-        }
-        for stage in RequestStage::ALL {
-            histograms.push(HistSchema {
-                name: format!("stage.{}", stage.label()),
-                bounds: bounds.clone(),
-            });
-        }
-        let schema = Arc::new(Schema { counters, gauges, values, histograms });
-        MetricsSampler { schema, groups }
+        MetricsSampler { schema: Arc::new(schema), groups }
     }
 
     /// The schema `sample()` produces.
@@ -159,81 +207,17 @@ impl MetricsSampler {
     }
 
     /// Read every schema series out of `metrics`, stamped `unix_us`.
-    /// Series order must mirror the constructor exactly; the width
-    /// assert catches any drift between the two.
     pub fn sample(&self, metrics: &Metrics, unix_us: u64) -> Sample {
-        let mut counters = Vec::with_capacity(self.schema.counters.len());
-        for route in Route::ALL {
-            counters.push(metrics.requests(route));
+        let mut sample = Sample { unix_us, ..Sample::default() };
+        for (_, reading) in readings(metrics, &self.groups) {
+            match reading {
+                Reading::Counter(v) => sample.counters.push(v),
+                Reading::Gauge(v) => sample.gauges.push(v),
+                Reading::Value(v) => sample.values.push(v),
+                Reading::Hist(_, h) => sample.hists.push(h),
+            }
         }
-        for route in Route::ALL {
-            counters.push(metrics.errors(route));
-        }
-        counters.push(metrics.shed_total());
-        counters.push(DeadlineStage::ALL.iter().map(|&s| metrics.deadline_exceeded(s)).sum());
-        counters.push(metrics.reload_failures());
-        counters.push(metrics.stale_served());
-        counters.push(metrics.keepalive_reuses());
-        counters.push(metrics.cache_hits());
-        counters.push(metrics.cache_misses());
-        counters.push(metrics.quality_accepted());
-        counters.push(metrics.quality_rejected());
-        for reason in FlushReason::ALL {
-            counters.push(metrics.batch_flushes(reason));
-        }
-        counters.push(metrics.batch_calls());
-        counters.push(metrics.batch_rows());
-        counters.push(metrics.loop_iterations());
-        let quality = metrics.quality_entries();
-        for (model, machine) in &self.groups {
-            let trips: u64 = quality
-                .iter()
-                .filter(|e| &e.model == model && &e.machine == machine)
-                .map(|e| e.stats.drift_trips)
-                .sum();
-            counters.push(trips);
-        }
-        let gauges = vec![
-            metrics.in_flight() as i64,
-            metrics.pool_queue_depth() as i64,
-            metrics.connections_open() as i64,
-            metrics.read_paused() as i64,
-            metrics.write_stalled() as i64,
-            metrics.cache_entries() as i64,
-        ];
-        let mut values = vec![metrics.model_staleness_seconds()];
-        for (model, machine) in &self.groups {
-            // Worst (max) MAPE across the group's versions; NaN until
-            // any version has data.
-            let mape = quality
-                .iter()
-                .filter(|e| &e.model == model && &e.machine == machine)
-                .map(|e| e.stats.mape)
-                .filter(|m| !m.is_nan())
-                .fold(f64::NAN, f64::max);
-            values.push(mape);
-        }
-        let mut hists = Vec::with_capacity(self.schema.histograms.len());
-        let push = |hists: &mut Vec<HistSample>,
-                    (buckets, sum_micros, count): ([u64; 11], u64, u64)| {
-            hists.push(HistSample { buckets: buckets.to_vec(), sum_micros, count });
-        };
-        push(&mut hists, metrics.latency_snapshot());
-        for stage in AdviseStage::ALL {
-            push(&mut hists, metrics.advise_stage_snapshot(stage));
-        }
-        for stage in RequestStage::ALL {
-            push(&mut hists, metrics.request_stage_snapshot(stage));
-        }
-        let sample = Sample { unix_us, counters, gauges, values, hists };
-        debug_assert_eq!(self.schema.flatten(&sample).len(), self.schema.width());
         sample
-    }
-
-    /// Faults injected so far, summed over kinds (not part of the
-    /// schema; used by the chaos soak assertions).
-    pub fn faults_total(metrics: &Metrics) -> u64 {
-        FaultKind::ALL.iter().map(|&k| metrics.faults_injected(k)).sum()
     }
 }
 
@@ -275,7 +259,7 @@ pub fn start(router: &Router, config: HealthConfig) -> HealthHandle {
     router.install_health(Arc::clone(&hub));
     let obs_metrics = Arc::clone(&metrics);
     hub.on_transition(Box::new(move |t| {
-        obs_metrics.record_alert_transition(t.to.label());
+        obs_metrics.record_alert_transition(t.to);
         obs::event!(
             Level::Warn,
             "health.alert",
@@ -308,12 +292,57 @@ pub fn start(router: &Router, config: HealthConfig) -> HealthHandle {
                     let sample = sampler.sample(&metrics, unix_us_now());
                     hub.ingest(&sample);
                     let verdict = hub.verdict();
-                    metrics.set_alert_gauges(verdict.firing, verdict.pending);
-                    metrics
-                        .record_slo_scrape(hub.slo_count() as u64, hub.breaching_count() as usize);
+                    metrics.alerts_firing.set(verdict.firing);
+                    metrics.alerts_pending.set(verdict.pending);
+                    metrics.slo_scrapes.inc();
+                    metrics.slo_evaluations.add(hub.slo_count() as u64);
+                    metrics.slo_breaching.set(hub.breaching_count() as usize);
                 }
             })
             .expect("spawn health sampler")
     };
     HealthHandle { hub, stop, thread: Some(thread) }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::ModelRegistry;
+    use chemcost_ml::gradient_boosting::GradientBoosting;
+    use chemcost_ml::Regressor;
+
+    fn tiny_model(seed: u64) -> GradientBoosting {
+        let x = chemcost_linalg::Matrix::from_fn(40, 4, |i, j| (i * 4 + j) as f64);
+        let y: Vec<f64> = (0..40).map(|i| 10.0 + i as f64).collect();
+        let mut gb = GradientBoosting::new(10, 2, 0.3);
+        gb.seed = seed;
+        gb.fit(&x, &y).unwrap();
+        gb
+    }
+
+    /// The `(model, machine)` set is fixed at startup and a promotion only
+    /// bumps the version: a sampler built before `promote` keeps its
+    /// schema, and its per-group MAPE series tracks the new version once
+    /// that version is observed.
+    #[test]
+    fn promoted_version_feeds_the_startup_group_series() {
+        let registry = Arc::new(ModelRegistry::new());
+        registry.insert("gb", "aurora", tiny_model(1));
+        let router = Router::new(Arc::clone(&registry));
+        let (metrics, quality) = (router.metrics(), router.quality());
+        let sampler = MetricsSampler::new(metrics);
+        let schema = sampler.schema().as_ref().clone();
+        let mape = schema.value_index("quality.mape.gb@aurora").expect("startup group series");
+        assert!(sampler.sample(metrics, 1).values[mape].is_nan(), "no observations yet");
+
+        assert_eq!(registry.promote("gb", tiny_model(2)).unwrap(), 2);
+        quality.register_group("gb", 2, "aurora"); // as the router's promotion path does
+        let id = quality.record_prediction("gb", 2, "aurora", (120, 900, 64, 24), 100.0);
+        quality.observe(id, 125.0).expect("observation accepted");
+
+        let sample = sampler.sample(metrics, 2);
+        assert_eq!(sampler.schema().as_ref(), &schema, "schema is not rebuilt");
+        assert_eq!(schema.flatten(&sample).len(), schema.width());
+        assert!((sample.values[mape] - 0.2).abs() < 1e-12, "tracks v2: {}", sample.values[mape]);
+    }
 }

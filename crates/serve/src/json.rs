@@ -16,6 +16,7 @@
 //! (no escapes in strings, for instance); returning `None` always means
 //! "let the general parser decide", never a verdict of its own.
 
+use chemcost_obs::write_json_string;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -138,7 +139,7 @@ impl Json {
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
             Json::Num(n) => write_num(*n, out),
-            Json::Str(s) => write_escaped(s, out),
+            Json::Str(s) => write_json_string(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -155,7 +156,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(k, out);
+                    write_json_string(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -217,26 +218,6 @@ pub(crate) fn write_num(n: f64, out: &mut String) {
     } else {
         out.push_str("null");
     }
-}
-
-/// Append one string exactly as [`Json::Str`] encodes it (quoted and
-/// escaped). `pub(crate)` for the same reason as [`write_num`].
-pub(crate) fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct Parser<'a> {

@@ -1,28 +1,26 @@
 //! Request metrics with Prometheus text exposition.
 //!
-//! Everything is lock-free atomics: fixed route labels, per-route request
-//! and error counters, a shared latency histogram with log-spaced
-//! buckets, saturation gauges (queue depth, in-flight), shed-load and
-//! advise-cache counters, a per-stage latency histogram for the
-//! `/v1/advise` pipeline (`cache` → `sweep` → `encode`), and the
-//! robustness series: deadline overruns per stage, model staleness,
-//! reload failures, stale cache serves, and injected faults. `render`
-//! produces the standard `text/plain; version=0.0.4` exposition format;
-//! [`lint_exposition`] validates that format and doubles as the CI smoke
-//! and chaos jobs' correctness check.
+//! Every metric family the daemon exposes is declared exactly once, as
+//! one row of [`FAMILIES`]: its name, HELP text, kind, label set,
+//! health-schema key, and the typed handle in [`Metrics`] that holds
+//! its values. Everything else reads that table: [`Metrics::render`]
+//! walks it to produce the standard `text/plain; version=0.0.4`
+//! exposition, [`REQUIRED_SERIES`] is its name column, the health
+//! sampler (`crate::health_bridge::MetricsSampler`) derives its schema
+//! and its samples from the health keys, and the docs check
+//! (`tests/docs_links.rs`) matches it against the metric tables in
+//! `docs/`. [`lint_exposition`] validates the format and doubles as the
+//! CI smoke and chaos jobs' correctness check.
 //!
 //! # Hot-path layout
 //!
-//! The per-request counters (route requests/errors, advise-cache
-//! hits/misses, keep-alive reuses) are [`ShardedCounter`]s: each is a
-//! small array of cache-line-padded atomics and every thread increments
-//! its own stripe, so concurrent request threads never bounce one
-//! counter's cache line between cores. Reads sum the stripes — counters
-//! are read on scrape, written per request, so the trade goes the right
-//! way. Histogram bucket lines render through preformatted name slabs
-//! (`name_bucket{…le="x"} ` prefixes built once per process), keeping
-//! the scrape path to integer formatting instead of per-line `format!`
-//! allocations.
+//! Recording is a direct atomic op on a public handle field — no lookup
+//! by name, no dynamic dispatch, no lock. Labelled families are
+//! [`PerLabel`] arrays indexed by their label enum. The per-request
+//! counters are [`ShardedCounter`]s, so concurrent request threads never
+//! bounce one counter's cache line between cores. Histogram lines render
+//! through name prefixes built once per process, keeping the scrape path
+//! to integer formatting.
 //!
 //! Every series is **pre-registered**: the label sets are fixed arrays,
 //! so each family appears in the very first scrape at zero rather than
@@ -33,301 +31,121 @@
 
 use crate::batcher::FlushReason;
 use crate::fault::FaultKind;
+use chemcost_health::AlertState;
 use chemcost_lifecycle::{LifecycleObserver, LifecycleState, PromotionOutcome, TRANSITIONS};
+use chemcost_obs::{label_enum, LabelValue};
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
+use std::marker::PhantomData;
+use std::ops::{Deref, Index};
+use std::slice::from_ref;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Route label a request is accounted under. Fixed set — unknown paths
-/// all collapse into `Other` so label cardinality stays bounded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Route {
-    /// `GET /healthz`
-    Healthz,
-    /// `GET /metrics`
-    Metrics,
-    /// `GET /v1/models`
-    Models,
-    /// `POST /v1/models/{name}/reload`
-    Reload,
-    /// `POST /v1/predict`
-    Predict,
-    /// `POST /v1/advise`
-    Advise,
-    /// `POST /v1/observe` — ground-truth runtime reports.
-    Observe,
-    /// `GET /v1/quality` and `GET /v1/quality/next_experiments`.
-    Quality,
-    /// `GET /v1/lifecycle` and `POST /v1/lifecycle/*` operator overrides.
-    Lifecycle,
-    /// `POST /v1/shutdown`
-    Shutdown,
-    /// `GET /debug/requests` — the flight recorder.
-    Debug,
-    /// `GET /v1/health` — the SLO-driven readiness verdict.
-    Health,
-    /// Anything else (404s, bad methods, shed connections, …).
-    Other,
-}
-
-impl Route {
-    /// Every route, in exposition order.
-    pub const ALL: [Route; 13] = [
-        Route::Healthz,
-        Route::Metrics,
-        Route::Models,
-        Route::Reload,
-        Route::Predict,
-        Route::Advise,
-        Route::Observe,
-        Route::Quality,
-        Route::Lifecycle,
-        Route::Shutdown,
-        Route::Debug,
-        Route::Health,
-        Route::Other,
-    ];
-
-    fn index(self) -> usize {
-        match self {
-            Route::Healthz => 0,
-            Route::Metrics => 1,
-            Route::Models => 2,
-            Route::Reload => 3,
-            Route::Predict => 4,
-            Route::Advise => 5,
-            Route::Observe => 6,
-            Route::Quality => 7,
-            Route::Lifecycle => 8,
-            Route::Shutdown => 9,
-            Route::Debug => 10,
-            Route::Health => 11,
-            Route::Other => 12,
-        }
-    }
-
-    /// The Prometheus label value.
-    pub fn label(self) -> &'static str {
-        match self {
-            Route::Healthz => "healthz",
-            Route::Metrics => "metrics",
-            Route::Models => "models",
-            Route::Reload => "reload",
-            Route::Predict => "predict",
-            Route::Advise => "advise",
-            Route::Observe => "observe",
-            Route::Quality => "quality",
-            Route::Lifecycle => "lifecycle",
-            Route::Shutdown => "shutdown",
-            Route::Debug => "debug",
-            Route::Health => "health",
-            Route::Other => "other",
-        }
+label_enum! {
+    /// Route label a request is accounted under. Fixed set — unknown
+    /// paths all collapse into `Other` so label cardinality stays bounded.
+    pub enum Route {
+        /// `GET /healthz`
+        Healthz => "healthz",
+        /// `GET /metrics`
+        Metrics => "metrics",
+        /// `GET /v1/models`
+        Models => "models",
+        /// `POST /v1/models/{name}/reload`
+        Reload => "reload",
+        /// `POST /v1/predict`
+        Predict => "predict",
+        /// `POST /v1/advise`
+        Advise => "advise",
+        /// `POST /v1/observe` — ground-truth runtime reports.
+        Observe => "observe",
+        /// `GET /v1/quality` and `GET /v1/quality/next_experiments`.
+        Quality => "quality",
+        /// `GET /v1/lifecycle` and `POST /v1/lifecycle/*` operator overrides.
+        Lifecycle => "lifecycle",
+        /// `POST /v1/shutdown`
+        Shutdown => "shutdown",
+        /// `GET /debug/requests` — the flight recorder.
+        Debug => "debug",
+        /// `GET /v1/health` — the SLO-driven readiness verdict.
+        Health => "health",
+        /// Anything else (404s, bad methods, shed connections, …).
+        Other => "other",
     }
 }
 
-/// One stage of the `/v1/advise` pipeline, timed separately so a slow
-/// answer can be attributed to the model sweep, the cache, or JSON
-/// encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdviseStage {
-    /// Key construction + cache probe (and hit replay).
-    Cache,
-    /// The candidate sweep through the flat model.
-    Sweep,
-    /// Reductions + JSON rendering + cache insert.
-    Encode,
-    /// Shadow-candidate scoring of the primary recommendation.
-    Shadow,
-}
-
-impl AdviseStage {
-    /// Every stage, in label order.
-    pub const ALL: [AdviseStage; 4] =
-        [AdviseStage::Cache, AdviseStage::Sweep, AdviseStage::Encode, AdviseStage::Shadow];
-
-    fn index(self) -> usize {
-        match self {
-            AdviseStage::Cache => 0,
-            AdviseStage::Sweep => 1,
-            AdviseStage::Encode => 2,
-            AdviseStage::Shadow => 3,
-        }
-    }
-
-    /// The Prometheus `stage` label value.
-    pub fn label(self) -> &'static str {
-        match self {
-            AdviseStage::Cache => "cache",
-            AdviseStage::Sweep => "sweep",
-            AdviseStage::Encode => "encode",
-            AdviseStage::Shadow => "shadow",
-        }
+label_enum! {
+    /// One stage of the `/v1/advise` pipeline, timed separately so a slow
+    /// answer can be attributed to the model sweep, the cache, or JSON
+    /// encoding.
+    pub enum AdviseStage {
+        /// Key construction + cache probe (and hit replay).
+        Cache => "cache",
+        /// The candidate sweep through the flat model.
+        Sweep => "sweep",
+        /// Reductions + JSON rendering + cache insert.
+        Encode => "encode",
+        /// Shadow-candidate scoring of the primary recommendation.
+        Shadow => "shadow",
     }
 }
 
-/// One deadline checkpoint in the request path; the label on
-/// `chemcost_deadline_exceeded_total`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeadlineStage {
-    /// The budget was already gone when a worker dequeued the request.
-    Queue,
-    /// Expired at the advise cache probe.
-    Cache,
-    /// Expired before the candidate sweep could start.
-    Sweep,
-}
-
-impl DeadlineStage {
-    /// Every stage, in label order.
-    pub const ALL: [DeadlineStage; 3] =
-        [DeadlineStage::Queue, DeadlineStage::Cache, DeadlineStage::Sweep];
-
-    fn index(self) -> usize {
-        match self {
-            DeadlineStage::Queue => 0,
-            DeadlineStage::Cache => 1,
-            DeadlineStage::Sweep => 2,
-        }
-    }
-
-    /// The Prometheus `stage` label value.
-    pub fn label(self) -> &'static str {
-        match self {
-            DeadlineStage::Queue => "queue",
-            DeadlineStage::Cache => "cache",
-            DeadlineStage::Sweep => "sweep",
-        }
+label_enum! {
+    /// One deadline checkpoint in the request path: where a 504's
+    /// budget ran out.
+    pub enum DeadlineStage {
+        /// The budget was already gone when a worker dequeued the request.
+        Queue => "queue",
+        /// Expired at the advise cache probe.
+        Cache => "cache",
+        /// Expired before the candidate sweep could start.
+        Sweep => "sweep",
     }
 }
 
-/// One stage of a request's end-to-end timeline through the event-driven
-/// data plane; the `stage` label on
-/// `chemcost_request_stage_duration_seconds`. The six stages partition
-/// the first-byte → last-byte wall time (see `crate::timeline`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestStage {
-    /// First byte read → parse complete (the deadline anchor).
-    Read,
-    /// Parse complete → a worker dequeued the request.
-    Queue,
-    /// Time the worker spent blocked in the micro-batcher (window wait
-    /// plus the coalesced model call).
-    BatchWait,
-    /// Worker dequeue → handler done, minus the batch wait.
-    Handler,
-    /// Handler done → response encoded onto the wire buffer (waiting for
-    /// its turn in the pipeline reorder).
-    Reorder,
-    /// Response encoded → last byte accepted by the socket.
-    Write,
+label_enum! {
+    /// One stage of a request's end-to-end timeline through the
+    /// event-driven data plane. The six stages partition the first-byte
+    /// → last-byte wall time (see `crate::timeline`).
+    pub enum RequestStage {
+        /// First byte read → parse complete (the deadline anchor).
+        Read => "read",
+        /// Parse complete → a worker dequeued the request.
+        Queue => "queue",
+        /// Time the worker spent blocked in the micro-batcher (window
+        /// wait plus the coalesced model call).
+        BatchWait => "batch_wait",
+        /// Worker dequeue → handler done, minus the batch wait.
+        Handler => "handler",
+        /// Handler done → response encoded onto the wire buffer (waiting
+        /// for its turn in the pipeline reorder).
+        Reorder => "reorder",
+        /// Response encoded → last byte accepted by the socket.
+        Write => "write",
+    }
 }
 
 impl RequestStage {
-    /// Every stage, in timeline order.
-    pub const ALL: [RequestStage; 6] = [
-        RequestStage::Read,
-        RequestStage::Queue,
-        RequestStage::BatchWait,
-        RequestStage::Handler,
-        RequestStage::Reorder,
-        RequestStage::Write,
-    ];
-
-    /// Position in [`RequestStage::ALL`] (metric array index).
-    pub fn index(self) -> usize {
-        match self {
-            RequestStage::Read => 0,
-            RequestStage::Queue => 1,
-            RequestStage::BatchWait => 2,
-            RequestStage::Handler => 3,
-            RequestStage::Reorder => 4,
-            RequestStage::Write => 5,
-        }
-    }
-
-    /// The Prometheus `stage` label value.
-    pub fn label(self) -> &'static str {
-        match self {
-            RequestStage::Read => "read",
-            RequestStage::Queue => "queue",
-            RequestStage::BatchWait => "batch_wait",
-            RequestStage::Handler => "handler",
-            RequestStage::Reorder => "reorder",
-            RequestStage::Write => "write",
-        }
-    }
-
     /// The field key in `request.timeline` obs events and in the
     /// `/debug/requests` `stages` object (label + `_us`, values are
     /// microseconds).
     pub fn field_key(self) -> &'static str {
-        match self {
-            RequestStage::Read => "read_us",
-            RequestStage::Queue => "queue_us",
-            RequestStage::BatchWait => "batch_wait_us",
-            RequestStage::Handler => "handler_us",
-            RequestStage::Reorder => "reorder_us",
-            RequestStage::Write => "write_us",
-        }
+        ["read_us", "queue_us", "batch_wait_us", "handler_us", "reorder_us", "write_us"]
+            [self as usize]
     }
 }
 
-/// Histogram bucket upper bounds, in seconds.
-const BUCKETS: [f64; 10] = [1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 5e-1, 1.0, 5.0];
-
-/// Every metric family the service exposes, by family name. The smoke
-/// and chaos CI jobs pass this to [`lint_exposition_with_required`] so
-/// a series silently dropped from [`Metrics::render`] (or one that only
-/// materializes after its first increment) fails the scrape check.
-pub const REQUIRED_SERIES: &[&str] = &[
-    "chemcost_build_info",
-    "chemcost_requests_total",
-    "chemcost_request_errors_total",
-    "chemcost_requests_in_flight",
-    "chemcost_pool_queue_depth",
-    "chemcost_requests_shed_total",
-    "chemcost_request_duration_seconds",
-    "chemcost_advise_stage_duration_seconds",
-    "chemcost_advise_cache_hits_total",
-    "chemcost_advise_cache_misses_total",
-    "chemcost_advise_cache_entries",
-    "chemcost_deadline_exceeded_total",
-    "chemcost_model_staleness_seconds",
-    "chemcost_model_reload_failures_total",
-    "chemcost_advise_stale_served_total",
-    "chemcost_faults_injected_total",
-    "chemcost_quality_observations_total",
-    "chemcost_model_mape",
-    "chemcost_model_bias_seconds",
-    "chemcost_residual_seconds",
-    "chemcost_calibration_ratio",
-    "chemcost_model_degraded",
-    "chemcost_drift_trips_total",
-    "chemcost_quality_pool_size",
-    "chemcost_quality_pool_evictions_total",
-    "chemcost_lifecycle_state",
-    "chemcost_lifecycle_transitions_total",
-    "chemcost_lifecycle_queue_depth",
-    "chemcost_lifecycle_fit_duration_seconds",
-    "chemcost_lifecycle_promotions_total",
-    "chemcost_connections_open",
-    "chemcost_batch_size",
-    "chemcost_batch_flush_total",
-    "chemcost_keepalive_reuses_total",
-    "chemcost_request_stage_duration_seconds",
-    "chemcost_event_loop_iteration_duration_seconds",
-    "chemcost_event_loop_events_per_wake",
-    "chemcost_connections_read_paused",
-    "chemcost_connections_write_stalled",
-    "chemcost_alerts_transitions_total",
-    "chemcost_alerts_firing",
-    "chemcost_alerts_pending",
-    "chemcost_slo_evaluations_total",
-    "chemcost_slo_breaching",
-    "chemcost_slo_scrapes_total",
-];
+label_enum! {
+    /// What became of one `/v1/observe` report.
+    pub enum QualityOutcome {
+        /// Accepted into the rolling quality statistics.
+        Accepted => "accepted",
+        /// Rejected with a structured 4xx, statistics untouched.
+        Rejected => "rejected",
+    }
+}
 
 /// Version baked into `chemcost_build_info`.
 const BUILD_VERSION: &str = env!("CARGO_PKG_VERSION");
@@ -351,6 +169,29 @@ const BUILD_DIRTY: &str = match option_env!("CHEMCOST_GIT_DIRTY") {
 /// `chemcost --version` so every surface reports the same build.
 pub fn build_info() -> (&'static str, &'static str, &'static str) {
     (BUILD_VERSION, BUILD_GIT_SHA, BUILD_DIRTY)
+}
+
+/// A monotonically increasing counter.
+#[derive(Default)]
+pub struct Counter(AtomicU64);
+
+impl Counter {
+    /// Add one.
+    #[inline]
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Add `n`.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Current value.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
 }
 
 /// Stripes per [`ShardedCounter`]. Power of two so the per-thread pick
@@ -385,32 +226,83 @@ fn counter_stripe() -> usize {
 /// shards: increments touch only the calling thread's stripe, reads sum
 /// all stripes. Written per request, read per scrape.
 #[derive(Default)]
-struct ShardedCounter {
+pub struct ShardedCounter {
     stripes: [PaddedU64; COUNTER_SHARDS],
 }
 
 impl ShardedCounter {
+    /// Add one to the calling thread's stripe.
     #[inline]
-    fn inc(&self) {
+    pub fn inc(&self) {
         self.stripes[counter_stripe()].0.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn load(&self) -> u64 {
+    /// Sum over all stripes.
+    pub fn get(&self) -> u64 {
         self.stripes.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
     }
 }
 
+/// A gauge: set outright, or moved by paired `inc`/`dec`.
 #[derive(Default)]
-struct RouteStats {
-    requests: ShardedCounter,
-    errors: ShardedCounter,
+pub struct Gauge(AtomicI64);
+
+impl Gauge {
+    /// Add one.
+    #[inline]
+    pub fn inc(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Subtract one.
+    #[inline]
+    pub fn dec(&self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Replace the value.
+    pub fn set(&self, v: usize) {
+        self.0.store(v as i64, Ordering::Relaxed);
+    }
+
+    /// Current value, clamped at 0 — concurrent inc/dec can transiently
+    /// observe a negative value.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed).max(0) as u64
+    }
+}
+
+/// Bucket layout and sum unit of a [`Histogram`].
+pub trait Scale {
+    /// Finite bucket upper bounds; `+Inf` is the implied 11th bucket.
+    const BOUNDS: &'static [f64; 10];
+    /// Divisor taking the raw integer sum to the family's unit.
+    const SUM_DIVISOR: f64;
+}
+
+/// Durations: log-spaced buckets 100 µs – 5 s. The sum is kept in whole
+/// microseconds and rendered in seconds.
+pub enum Seconds {}
+
+impl Scale for Seconds {
+    const BOUNDS: &'static [f64; 10] = &[1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 5e-1, 1.0, 5.0];
+    const SUM_DIVISOR: f64 = 1e6;
+}
+
+/// Sizes (rows per batch, events per wake): powers of two up to 512.
+/// The sum is a plain count.
+pub enum Rows {}
+
+impl Scale for Rows {
+    const BOUNDS: &'static [f64; 10] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0];
+    const SUM_DIVISOR: f64 = 1.0;
 }
 
 /// Preformatted line prefixes for one histogram's fixed series names —
 /// everything up to the sample value, built once per process so a scrape
 /// only formats the integers.
 struct RenderSlab {
-    /// `name_bucket{extra,le="…"} ` for each bucket, `+Inf` last.
+    /// `name_bucket{labels,le="…"} ` for each bucket, `+Inf` last.
     bucket_prefixes: Vec<String>,
     /// `name_sum ` / `name_sum{labels} `.
     sum_prefix: String,
@@ -419,86 +311,85 @@ struct RenderSlab {
 }
 
 impl RenderSlab {
-    fn build<B: std::fmt::Display>(name: &str, extra: &str, bounds: &[B]) -> RenderSlab {
-        let mut bucket_prefixes: Vec<String> =
-            bounds.iter().map(|le| format!("{name}_bucket{{{extra}le=\"{le}\"}} ")).collect();
-        bucket_prefixes.push(format!("{name}_bucket{{{extra}le=\"+Inf\"}} "));
-        let (sum_prefix, count_prefix) = if extra.is_empty() {
+    fn build(name: &str, labels: &str, bounds: &[f64]) -> RenderSlab {
+        let extra = if labels.is_empty() { String::new() } else { format!("{labels},") };
+        let bucket_prefixes = bounds
+            .iter()
+            .map(|le| le.to_string())
+            .chain(["+Inf".to_string()])
+            .map(|le| format!("{name}_bucket{{{extra}le=\"{le}\"}} "))
+            .collect();
+        let (sum_prefix, count_prefix) = if labels.is_empty() {
             (format!("{name}_sum "), format!("{name}_count "))
         } else {
-            let labels = extra.trim_end_matches(',');
             (format!("{name}_sum{{{labels}}} "), format!("{name}_count{{{labels}}} "))
         };
         RenderSlab { bucket_prefixes, sum_prefix, count_prefix }
     }
 }
 
-/// Cumulative bucket counts (+ overflow) with sum and count — one
-/// Prometheus histogram series set.
-#[derive(Default)]
-struct Histogram {
-    buckets: [AtomicU64; 11],
-    sum_micros: AtomicU64,
-    count: AtomicU64,
-    /// Built on first render; each histogram instance renders under one
-    /// fixed `(name, extra)` pair.
-    slab: OnceLock<RenderSlab>,
-}
-
-impl Histogram {
-    fn observe(&self, elapsed: Duration) {
-        let secs = elapsed.as_secs_f64();
-        let bucket = BUCKETS.iter().position(|&b| secs <= b).unwrap_or(BUCKETS.len());
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.sum_micros.fetch_add(elapsed.as_micros() as u64, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Render `name{extra_labels,le="…"} …` bucket lines plus sum and
-    /// count. `extra` is either empty or `label="value",` (trailing
-    /// comma included).
-    fn render(&self, out: &mut String, name: &str, extra: &str) {
-        let slab = self.slab.get_or_init(|| RenderSlab::build(name, extra, &BUCKETS));
-        let mut cumulative = 0u64;
-        for (bucket, prefix) in self.buckets.iter().zip(&slab.bucket_prefixes) {
-            cumulative += bucket.load(Ordering::Relaxed);
-            out.push_str(prefix);
-            let _ = writeln!(out, "{cumulative}");
-        }
-        let sum = self.sum_micros.load(Ordering::Relaxed) as f64 / 1e6;
-        out.push_str(&slab.sum_prefix);
-        let _ = writeln!(out, "{sum}");
-        out.push_str(&slab.count_prefix);
-        let _ = writeln!(out, "{}", self.count.load(Ordering::Relaxed));
-    }
-}
-
-/// Bucket upper bounds for `chemcost_batch_size` — coalesced rows per
-/// flat-model call. Powers of two up to the default `--batch-max`.
-const SIZE_BUCKETS: [u64; 10] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512];
-
-/// A histogram over discrete sizes (row counts), same Prometheus shape
-/// as [`Histogram`] but with integer bucket bounds and a plain sum.
-#[derive(Default)]
-struct SizeHistogram {
+/// Per-bucket counts (overflow last) with sum and count — one
+/// Prometheus histogram series set, bucketed by its [`Scale`].
+pub struct Histogram<S: Scale = Seconds> {
     buckets: [AtomicU64; 11],
     sum: AtomicU64,
     count: AtomicU64,
-    /// Built on first render; see [`Histogram::slab`].
+    /// Built on first render; each histogram instance renders under one
+    /// fixed `(name, labels)` pair.
     slab: OnceLock<RenderSlab>,
+    scale: PhantomData<S>,
 }
 
-impl SizeHistogram {
-    fn observe(&self, n: usize) {
-        let n = n as u64;
-        let bucket = SIZE_BUCKETS.iter().position(|&b| n <= b).unwrap_or(SIZE_BUCKETS.len());
+impl<S: Scale> Default for Histogram<S> {
+    fn default() -> Self {
+        Histogram {
+            buckets: Default::default(),
+            sum: AtomicU64::new(0),
+            count: AtomicU64::new(0),
+            slab: OnceLock::new(),
+            scale: PhantomData,
+        }
+    }
+}
+
+impl<S: Scale> Histogram<S> {
+    fn observe_at(&self, x: f64, raw: u64) {
+        let bucket = S::BOUNDS.iter().position(|&b| x <= b).unwrap_or(S::BOUNDS.len());
         self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(raw, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn render(&self, out: &mut String, name: &str) {
-        let slab = self.slab.get_or_init(|| RenderSlab::build(name, "", &SIZE_BUCKETS));
+    /// Observations so far.
+    pub fn count(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
+    }
+
+    /// Raw sum so far: microseconds for [`Seconds`], units for [`Rows`].
+    pub fn sum(&self) -> u64 {
+        self.sum.load(Ordering::Relaxed)
+    }
+
+    /// Snapshot as `(buckets, raw sum, count)`. The count is read
+    /// *first*: observing bumps bucket → sum → count, so reading in the
+    /// opposite order guarantees `sum(buckets) >= count` — a snapshot can
+    /// under-report the very newest observation but never tear a
+    /// bucket/count pair.
+    pub fn snapshot(&self) -> ([u64; 11], u64, u64) {
+        let count = self.count.load(Ordering::Acquire);
+        let sum = self.sum.load(Ordering::Acquire);
+        let mut buckets = [0u64; 11];
+        for (b, a) in buckets.iter_mut().zip(&self.buckets) {
+            *b = a.load(Ordering::Acquire);
+        }
+        (buckets, sum, count)
+    }
+
+    /// Render cumulative `name_bucket{labels,le="…"}` lines plus sum and
+    /// count. `labels` (e.g. `stage="read"`, or empty) is only consulted
+    /// on the first render.
+    fn render(&self, out: &mut String, name: &str, labels: impl FnOnce() -> String) {
+        let slab = self.slab.get_or_init(|| RenderSlab::build(name, &labels(), S::BOUNDS));
         let mut cumulative = 0u64;
         for (bucket, prefix) in self.buckets.iter().zip(&slab.bucket_prefixes) {
             cumulative += bucket.load(Ordering::Relaxed);
@@ -506,9 +397,67 @@ impl SizeHistogram {
             let _ = writeln!(out, "{cumulative}");
         }
         out.push_str(&slab.sum_prefix);
-        let _ = writeln!(out, "{}", self.sum.load(Ordering::Relaxed));
+        let _ = writeln!(out, "{}", self.sum() as f64 / S::SUM_DIVISOR);
+        // `_count` is the `+Inf` total just read, not a separate load of
+        // `count`: a racing observation could land between the bucket
+        // and count loads and tear the pair.
         out.push_str(&slab.count_prefix);
-        let _ = writeln!(out, "{}", self.count.load(Ordering::Relaxed));
+        let _ = writeln!(out, "{cumulative}");
+    }
+}
+
+impl Histogram<Seconds> {
+    /// Record one duration.
+    pub fn observe(&self, elapsed: Duration) {
+        self.observe_at(elapsed.as_secs_f64(), elapsed.as_micros() as u64);
+    }
+
+    /// Mean recorded duration in seconds (NaN before the first
+    /// observation).
+    pub fn mean_seconds(&self) -> f64 {
+        match self.count() {
+            0 => f64::NAN,
+            n => self.sum() as f64 / 1e6 / n as f64,
+        }
+    }
+}
+
+impl Histogram<Rows> {
+    /// Record one size.
+    pub fn observe(&self, n: usize) {
+        self.observe_at(n as f64, n as u64);
+    }
+}
+
+/// One handle per value of the label enum `L`, indexed by `L`: the
+/// label's discriminant is its slot, so recording stays a plain array
+/// access. Derefs to the handles in label order.
+pub struct PerLabel<L, H, const N: usize> {
+    handles: [H; N],
+    label: PhantomData<fn() -> L>,
+}
+
+impl<L: LabelValue, H: Default, const N: usize> Default for PerLabel<L, H, N> {
+    fn default() -> Self {
+        const { assert!(N == L::LABELS.len(), "one handle per label value") };
+        PerLabel { handles: std::array::from_fn(|_| H::default()), label: PhantomData }
+    }
+}
+
+impl<L: LabelValue, H, const N: usize> Index<L> for PerLabel<L, H, N> {
+    type Output = H;
+
+    #[inline]
+    fn index(&self, label: L) -> &H {
+        &self.handles[label.index()]
+    }
+}
+
+impl<L, H, const N: usize> Deref for PerLabel<L, H, N> {
+    type Target = [H];
+
+    fn deref(&self) -> &[H] {
+        &self.handles
     }
 }
 
@@ -582,57 +531,360 @@ pub struct QualityEntry {
 /// One lifecycle group's current state, for the per-group state gauge.
 /// Keyed by (model, machine) — unlike quality groups, the lifecycle of a
 /// model spans its versions.
-#[derive(Debug, Clone)]
-pub struct LifecycleEntry {
-    /// Model name label.
-    pub model: String,
-    /// Machine label.
-    pub machine: String,
+struct LifecycleEntry {
+    model: String,
+    machine: String,
     /// Current state (the gauge exports [`LifecycleState::code`]).
-    pub state: LifecycleState,
+    state: LifecycleState,
 }
 
-/// Shared, thread-safe service metrics.
+label_enum! {
+    /// Prometheus metric type of a family; the label is the `# TYPE`
+    /// keyword.
+    pub enum Kind {
+        /// Monotonic; the name ends in `_total`.
+        Counter => "counter",
+        /// Goes up and down.
+        Gauge => "gauge",
+        /// Bucketed observations with `_bucket`/`_sum`/`_count` series.
+        Histogram => "histogram",
+    }
+}
+
+/// How a family's series are labelled.
+#[derive(Debug, Clone, Copy)]
+pub enum Labels {
+    /// One unlabelled series.
+    None,
+    /// One series per value of a fixed label enum: `(key, values)`.
+    Enum(&'static str, &'static [&'static str]),
+    /// `version`, `git_sha` and `dirty` of this build.
+    Build,
+    /// One series per legal lifecycle `(from, to)` pair in
+    /// [`TRANSITIONS`].
+    Transitions,
+    /// One series per registered `(model, version, machine)` quality
+    /// group — times each listed `quantile` value, when there are any.
+    Quality(&'static [&'static str]),
+    /// One series per `(model, machine)` lifecycle group.
+    Lifecycle,
+}
+
+/// How a family feeds the health plane's self-scrape schema.
+#[derive(Debug, Clone, Copy)]
+pub enum HealthKey {
+    /// Not sampled.
+    None,
+    /// One series per label value, named `key.<label>` (`key` when
+    /// unlabelled), of the family's own kind.
+    Each(&'static str),
+    /// One counter: the sum over every label value.
+    Sum(&'static str),
+    /// A histogram's observation count, and optionally its raw sum, as
+    /// counters: `Totals(count_name, sum_name)`.
+    Totals(&'static str, Option<&'static str>),
+    /// One series per `(model, machine)` quality group, named
+    /// `key.<model>@<machine>`. Counters sum the group's versions;
+    /// gauges become float values holding the worst (max) version with
+    /// data, NaN until any has.
+    Group(&'static str),
+}
+
+/// The handle(s) behind one family, borrowed from a [`Metrics`].
+pub(crate) enum Source<'a> {
+    /// The constant build-info series.
+    Build,
+    /// Plain counters, one per fixed label set.
+    Counters(&'a [Counter]),
+    /// Sharded counters, one per fixed label set.
+    Sharded(&'a [ShardedCounter]),
+    /// Gauges, one per fixed label set.
+    Gauges(&'a [Gauge]),
+    /// A computed float gauge.
+    Value(f64),
+    /// Duration histograms, one per fixed label set.
+    Seconds(&'a [Histogram<Seconds>]),
+    /// Size histograms, one per fixed label set.
+    Rows(&'a [Histogram<Rows>]),
+    /// A per-quality-group reading: `(stats, quantile index) -> value`.
+    Quality(fn(&QualityStats, usize) -> f64),
+    /// The per-lifecycle-group state codes.
+    Lifecycle,
+}
+
+/// One metric family: the single place its name, HELP text, kind,
+/// labels, health-schema key and handle are declared.
+pub struct Family {
+    /// Family name.
+    pub name: &'static str,
+    /// `# HELP` text.
+    pub help: &'static str,
+    /// `# TYPE`.
+    pub kind: Kind,
+    /// Label set of the family's series.
+    pub labels: Labels,
+    /// How the family feeds the health schema.
+    pub health: HealthKey,
+    /// The handle(s) holding the family's values.
+    pub(crate) source: for<'a> fn(&'a Metrics) -> Source<'a>,
+}
+
+impl Family {
+    /// `key="value"` pairs of the `i`-th fixed series (empty when
+    /// unlabelled).
+    fn fixed_labels(&self, i: usize) -> String {
+        match self.labels {
+            Labels::Enum(key, values) => format!("{key}=\"{}\"", values[i]),
+            Labels::Transitions => {
+                let (from, to) = TRANSITIONS[i];
+                format!("from=\"{}\",to=\"{}\"", from.label(), to.label())
+            }
+            _ => String::new(),
+        }
+    }
+
+    /// Write one `name{labels} value` line per fixed series.
+    fn write_values(&self, out: &mut String, values: impl Iterator<Item = u64>) {
+        for (i, v) in values.enumerate() {
+            let labels = self.fixed_labels(i);
+            if labels.is_empty() {
+                let _ = writeln!(out, "{} {v}", self.name);
+            } else {
+                let _ = writeln!(out, "{}{{{labels}}} {v}", self.name);
+            }
+        }
+    }
+
+    fn write_histograms<S: Scale>(&self, out: &mut String, histograms: &[Histogram<S>]) {
+        for (i, h) in histograms.iter().enumerate() {
+            h.render(out, self.name, || self.fixed_labels(i));
+        }
+    }
+}
+
+/// Every metric family the service exposes, in exposition order.
+#[rustfmt::skip]
+pub const FAMILIES: &[Family] = &[
+    Family { name: "chemcost_build_info", kind: Kind::Gauge,
+        labels: Labels::Build, health: HealthKey::None,
+        help: "Build metadata; constant 1.",
+        source: |_| Source::Build },
+    Family { name: "chemcost_requests_total", kind: Kind::Counter,
+        labels: Labels::Enum("route", Route::LABELS), health: HealthKey::Each("requests"),
+        help: "Requests handled, by route.",
+        source: |m| Source::Sharded(&m.requests) },
+    Family { name: "chemcost_request_errors_total", kind: Kind::Counter,
+        labels: Labels::Enum("route", Route::LABELS), health: HealthKey::Each("errors"),
+        help: "Error responses (status >= 400), by route.",
+        source: |m| Source::Sharded(&m.errors) },
+    Family { name: "chemcost_requests_in_flight", kind: Kind::Gauge,
+        labels: Labels::None, health: HealthKey::Each("inflight"),
+        help: "Requests currently being handled.",
+        source: |m| Source::Gauges(from_ref(&m.in_flight)) },
+    Family { name: "chemcost_pool_queue_depth", kind: Kind::Gauge,
+        labels: Labels::None, health: HealthKey::Each("queue.depth"),
+        help: "Connections queued for the worker pool.",
+        source: |m| Source::Gauges(from_ref(&m.pool_queue_depth)) },
+    Family { name: "chemcost_requests_shed_total", kind: Kind::Counter,
+        labels: Labels::None, health: HealthKey::Each("shed"),
+        help: "Connections answered 503 because the pool queue was full.",
+        source: |m| Source::Counters(from_ref(&m.shed)) },
+    Family { name: "chemcost_request_duration_seconds", kind: Kind::Histogram,
+        labels: Labels::None, health: HealthKey::Each("latency"),
+        help: "Request handling latency.",
+        source: |m| Source::Seconds(from_ref(&m.latency)) },
+    Family { name: "chemcost_advise_stage_duration_seconds", kind: Kind::Histogram,
+        labels: Labels::Enum("stage", AdviseStage::LABELS), health: HealthKey::Each("advise"),
+        help: "Advise pipeline latency, by stage (cache probe, model sweep, JSON encode).",
+        source: |m| Source::Seconds(&m.advise_stages) },
+    Family { name: "chemcost_advise_cache_hits_total", kind: Kind::Counter,
+        labels: Labels::None, health: HealthKey::Each("cache.hits"),
+        help: "Advise answers served from cache.",
+        source: |m| Source::Sharded(from_ref(&m.cache_hits)) },
+    Family { name: "chemcost_advise_cache_misses_total", kind: Kind::Counter,
+        labels: Labels::None, health: HealthKey::Each("cache.misses"),
+        help: "Advise answers that ran the sweep.",
+        source: |m| Source::Sharded(from_ref(&m.cache_misses)) },
+    Family { name: "chemcost_advise_cache_entries", kind: Kind::Gauge,
+        labels: Labels::None, health: HealthKey::Each("cache.entries"),
+        help: "Cached advise answers.",
+        source: |m| Source::Gauges(from_ref(&m.cache_entries)) },
+    Family { name: "chemcost_deadline_exceeded_total", kind: Kind::Counter,
+        labels: Labels::Enum("stage", DeadlineStage::LABELS),
+        health: HealthKey::Sum("deadline_exceeded"),
+        help: "Requests answered 504, by the stage where the budget ran out.",
+        source: |m| Source::Counters(&m.deadline_exceeded) },
+    Family { name: "chemcost_model_staleness_seconds", kind: Kind::Gauge,
+        labels: Labels::None, health: HealthKey::Each("staleness_seconds"),
+        help: "Seconds since the serving model went stale (a reload failed); 0 when fresh.",
+        source: |m| Source::Value(m.model_staleness_seconds()) },
+    Family { name: "chemcost_model_reload_failures_total", kind: Kind::Counter,
+        labels: Labels::None, health: HealthKey::Each("reload_failures"),
+        help: "Failed model reloads (the last-good model kept serving).",
+        source: |m| Source::Counters(from_ref(&m.reload_failures)) },
+    Family { name: "chemcost_advise_stale_served_total", kind: Kind::Counter,
+        labels: Labels::None, health: HealthKey::Each("stale_served"),
+        help: "Advise answers replayed from an older model version under overload.",
+        source: |m| Source::Counters(from_ref(&m.stale_served)) },
+    Family { name: "chemcost_faults_injected_total", kind: Kind::Counter,
+        labels: Labels::Enum("kind", FaultKind::LABELS), health: HealthKey::None,
+        help: "Faults injected by the chaos plane, by kind.",
+        source: |m| Source::Counters(&m.faults_injected) },
+    Family { name: "chemcost_quality_observations_total", kind: Kind::Counter,
+        labels: Labels::Enum("outcome", QualityOutcome::LABELS), health: HealthKey::Each("quality"),
+        help: "Ground-truth runtime reports on /v1/observe, by outcome (accepted into the rolling stats, or rejected 4xx).",
+        source: |m| Source::Counters(&m.quality_observations) },
+    Family { name: "chemcost_model_mape", kind: Kind::Gauge,
+        labels: Labels::Quality(&[]), health: HealthKey::Group("quality.mape"),
+        help: "Windowed mean absolute percentage error of served predictions against observed runtimes; NaN until the first observation.",
+        source: |_| Source::Quality(|s, _| s.mape) },
+    Family { name: "chemcost_model_bias_seconds", kind: Kind::Gauge,
+        labels: Labels::Quality(&[]), health: HealthKey::None,
+        help: "Windowed signed bias mean(predicted - measured) in seconds; positive means the model over-promises runtime.",
+        source: |_| Source::Quality(|s, _| s.bias_seconds) },
+    Family { name: "chemcost_residual_seconds", kind: Kind::Gauge,
+        labels: Labels::Quality(&["0.5", "0.9", "0.99"]), health: HealthKey::None,
+        help: "Windowed absolute prediction residual quantiles, in seconds.",
+        source: |_| Source::Quality(|s, q| [s.residual_p50, s.residual_p90, s.residual_p99][q]) },
+    Family { name: "chemcost_calibration_ratio", kind: Kind::Gauge,
+        labels: Labels::Quality(&[]), health: HealthKey::None,
+        help: "Fraction of sigma-carrying residuals inside the predicted +/-sigma band (well-calibrated Gaussian: ~0.68).",
+        source: |_| Source::Quality(|s, _| s.calibration_ratio) },
+    Family { name: "chemcost_model_degraded", kind: Kind::Gauge,
+        labels: Labels::Quality(&[]), health: HealthKey::None,
+        help: "1 when the drift detector has tripped for the group and the model has not been refreshed since, else 0.",
+        source: |_| Source::Quality(|s, _| f64::from(u8::from(s.degraded))) },
+    Family { name: "chemcost_drift_trips_total", kind: Kind::Counter,
+        labels: Labels::Quality(&[]), health: HealthKey::Group("quality.drift_trips"),
+        help: "Page-Hinkley drift-detector trips over the residual stream, per serving group.",
+        source: |_| Source::Quality(|s, _| s.drift_trips as f64) },
+    Family { name: "chemcost_quality_pool_size", kind: Kind::Gauge,
+        labels: Labels::Quality(&[]), health: HealthKey::None,
+        help: "Observations currently retained in the group's training pool.",
+        source: |_| Source::Quality(|s, _| s.pool_size as f64) },
+    Family { name: "chemcost_quality_pool_evictions_total", kind: Kind::Counter,
+        labels: Labels::Quality(&[]), health: HealthKey::None,
+        help: "Observations silently evicted from the full training pool, per serving group.",
+        source: |_| Source::Quality(|s, _| s.pool_evictions as f64) },
+    Family { name: "chemcost_lifecycle_state", kind: Kind::Gauge,
+        labels: Labels::Lifecycle, health: HealthKey::None,
+        help: "Retrain/shadow/promote state per (model, machine) group: 0=idle 1=queued 2=training 3=shadow 4=promoted 5=rejected 6=rolled-back.",
+        source: |_| Source::Lifecycle },
+    Family { name: "chemcost_lifecycle_transitions_total", kind: Kind::Counter,
+        labels: Labels::Transitions, health: HealthKey::None,
+        help: "Lifecycle state-machine transitions taken, by (from, to) pair.",
+        source: |m| Source::Counters(&m.lifecycle_transitions) },
+    Family { name: "chemcost_lifecycle_queue_depth", kind: Kind::Gauge,
+        labels: Labels::None, health: HealthKey::None,
+        help: "Retrain jobs waiting in the background trainer's bounded queue.",
+        source: |m| Source::Gauges(from_ref(&m.lifecycle_queue_depth)) },
+    Family { name: "chemcost_lifecycle_fit_duration_seconds", kind: Kind::Histogram,
+        labels: Labels::None, health: HealthKey::None,
+        help: "Wall time of one background candidate fit (success or failure).",
+        source: |m| Source::Seconds(from_ref(&m.lifecycle_fit_duration)) },
+    Family { name: "chemcost_lifecycle_promotions_total", kind: Kind::Counter,
+        labels: Labels::Enum("outcome", PromotionOutcome::LABELS), health: HealthKey::None,
+        help: "Promotion decisions, by outcome (auto, operator, rejected, rolled-back).",
+        source: |m| Source::Counters(&m.lifecycle_promotions) },
+    Family { name: "chemcost_connections_open", kind: Kind::Gauge,
+        labels: Labels::None, health: HealthKey::Each("connections.open"),
+        help: "Client connections currently open in the event loop.",
+        source: |m| Source::Gauges(from_ref(&m.connections_open)) },
+    Family { name: "chemcost_batch_size", kind: Kind::Histogram,
+        labels: Labels::None,
+        health: HealthKey::Totals("batch.calls", Some("batch.rows")),
+        help: "Coalesced rows per flat-model batch call made by the micro-batcher.",
+        source: |m| Source::Rows(from_ref(&m.batch_size)) },
+    Family { name: "chemcost_batch_flush_total", kind: Kind::Counter,
+        labels: Labels::Enum("reason", FlushReason::LABELS), health: HealthKey::Each("batch.flush"),
+        help: "Micro-batcher flushes, by trigger (full budget, window expiry, drain, shutdown).",
+        source: |m| Source::Counters(&m.batch_flushes) },
+    Family { name: "chemcost_keepalive_reuses_total", kind: Kind::Counter,
+        labels: Labels::None, health: HealthKey::Each("keepalive_reuses"),
+        help: "Requests served on a reused keep-alive exchange (any request after a connection's first).",
+        source: |m| Source::Sharded(from_ref(&m.keepalive_reuses)) },
+    Family { name: "chemcost_request_stage_duration_seconds", kind: Kind::Histogram,
+        labels: Labels::Enum("stage", RequestStage::LABELS), health: HealthKey::Each("stage"),
+        help: "Per-stage request-timeline latency through the event loop (read, queue, batch_wait, handler, reorder, write); the stages of one request sum to its first-byte to last-byte wall time.",
+        source: |m| Source::Seconds(&m.request_stages) },
+    Family { name: "chemcost_event_loop_iteration_duration_seconds", kind: Kind::Histogram,
+        labels: Labels::None, health: HealthKey::Totals("loop.iterations", None),
+        help: "Processing time of one event-loop pass (one epoll wake).",
+        source: |m| Source::Seconds(from_ref(&m.loop_iteration)) },
+    Family { name: "chemcost_event_loop_events_per_wake", kind: Kind::Histogram,
+        labels: Labels::None, health: HealthKey::None,
+        help: "Readiness events delivered per epoll wake.",
+        source: |m| Source::Rows(from_ref(&m.loop_events_per_wake)) },
+    Family { name: "chemcost_connections_read_paused", kind: Kind::Gauge,
+        labels: Labels::None, health: HealthKey::Each("connections.read_paused"),
+        help: "Connections whose reads are paused by backpressure (pipeline cap or write high-water mark).",
+        source: |m| Source::Gauges(from_ref(&m.read_paused)) },
+    Family { name: "chemcost_connections_write_stalled", kind: Kind::Gauge,
+        labels: Labels::None, health: HealthKey::Each("connections.write_stalled"),
+        help: "Connections holding unsent response bytes after a flush (slow consumers).",
+        source: |m| Source::Gauges(from_ref(&m.write_stalled)) },
+    Family { name: "chemcost_alerts_transitions_total", kind: Kind::Counter,
+        labels: Labels::Enum("to", AlertState::LABELS), health: HealthKey::None,
+        help: "SLO alert state transitions, by destination state.",
+        source: |m| Source::Counters(&m.alert_transitions) },
+    Family { name: "chemcost_alerts_firing", kind: Kind::Gauge,
+        labels: Labels::None, health: HealthKey::None,
+        help: "SLO alerts currently firing.",
+        source: |m| Source::Gauges(from_ref(&m.alerts_firing)) },
+    Family { name: "chemcost_alerts_pending", kind: Kind::Gauge,
+        labels: Labels::None, health: HealthKey::None,
+        help: "SLO alerts currently pending.",
+        source: |m| Source::Gauges(from_ref(&m.alerts_pending)) },
+    Family { name: "chemcost_slo_evaluations_total", kind: Kind::Counter,
+        labels: Labels::None, health: HealthKey::None,
+        help: "SLO evaluations run by the health sampler.",
+        source: |m| Source::Counters(from_ref(&m.slo_evaluations)) },
+    Family { name: "chemcost_slo_breaching", kind: Kind::Gauge,
+        labels: Labels::None, health: HealthKey::None,
+        help: "SLOs breaching both burn windows on the latest evaluation.",
+        source: |m| Source::Gauges(from_ref(&m.slo_breaching)) },
+    Family { name: "chemcost_slo_scrapes_total", kind: Kind::Counter,
+        labels: Labels::None, health: HealthKey::None,
+        help: "Self-scrape samples taken by the health sampler.",
+        source: |m| Source::Counters(from_ref(&m.slo_scrapes)) },
+];
+
+/// Every metric family the service exposes, by family name: the name
+/// column of [`FAMILIES`]. The smoke and chaos CI jobs pass this to
+/// [`lint_exposition_with_required`] so a series silently dropped from
+/// [`Metrics::render`] (or one that only materializes after its first
+/// increment) fails the scrape check.
+pub const REQUIRED_SERIES: &[&str] = &{
+    let mut names = [""; FAMILIES.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = FAMILIES[i].name;
+        i += 1;
+    }
+    names
+};
+
+/// Shared, thread-safe service metrics. Each public field is the handle
+/// of one family of [`FAMILIES`] (whose row documents it); record into
+/// it directly. The methods below are the recordings with logic of
+/// their own.
+#[derive(Default)]
 pub struct Metrics {
-    routes: [RouteStats; 13],
-    /// Whole-request handling latency.
-    latency: Histogram,
-    /// Per-stage request-timeline latency, indexed by [`RequestStage`].
-    request_stages: [Histogram; 6],
-    /// Event-loop iteration duration (one epoll wake's processing).
-    loop_iteration: Histogram,
-    /// Readiness events delivered per epoll wake.
-    loop_events_per_wake: SizeHistogram,
-    /// Connections whose reads are paused by backpressure (gauge).
-    read_paused: AtomicI64,
-    /// Connections with unsent response bytes after a flush (gauge).
-    write_stalled: AtomicI64,
-    /// Per-stage `/v1/advise` latency, indexed by [`AdviseStage`].
-    advise_stages: [Histogram; 4],
-    /// `/v1/advise` answers served from the recommendation cache.
-    cache_hits: ShardedCounter,
-    /// `/v1/advise` answers that had to run the sweep.
-    cache_misses: ShardedCounter,
-    /// Current number of cached advise answers (gauge).
-    cache_entries: AtomicU64,
-    /// Requests currently being handled (gauge).
-    in_flight: AtomicI64,
-    /// Connections queued in the worker pool, not yet picked up (gauge).
-    pool_queue_depth: AtomicI64,
-    /// Connections shed with 503 because the pool queue was full.
-    shed: AtomicU64,
-    /// Requests answered 504, per [`DeadlineStage`].
-    deadline_exceeded: [AtomicU64; 3],
-    /// Failed model reloads (the last-good model kept serving).
-    reload_failures: AtomicU64,
-    /// Advise answers served from an older model version under overload.
-    stale_served: AtomicU64,
-    /// Injected faults, per [`FaultKind`].
-    faults_injected: [AtomicU64; 5],
-    /// `/v1/observe` reports accepted into the quality stats.
-    quality_accepted: AtomicU64,
-    /// `/v1/observe` reports rejected (4xx) without touching the stats.
-    quality_rejected: AtomicU64,
+    pub requests: PerLabel<Route, ShardedCounter, 13>,
+    pub errors: PerLabel<Route, ShardedCounter, 13>,
+    pub in_flight: Gauge,
+    pub pool_queue_depth: Gauge,
+    pub shed: Counter,
+    pub latency: Histogram,
+    pub advise_stages: PerLabel<AdviseStage, Histogram, 4>,
+    pub cache_hits: ShardedCounter,
+    pub cache_misses: ShardedCounter,
+    pub cache_entries: Gauge,
+    pub deadline_exceeded: PerLabel<DeadlineStage, Counter, 3>,
+    pub reload_failures: Counter,
+    pub stale_served: Counter,
+    pub faults_injected: PerLabel<FaultKind, Counter, 5>,
+    pub quality_observations: PerLabel<QualityOutcome, Counter, 2>,
     /// Per-`(model, version, machine)` quality gauges, upserted by the
     /// quality hub. A `Vec` behind a lock, not atomics: the label set is
     /// dynamic (it follows the model registry) but tiny and updated only
@@ -642,88 +894,38 @@ pub struct Metrics {
     /// lifecycle hub through the [`LifecycleObserver`] bridge.
     lifecycle: parking_lot::RwLock<Vec<LifecycleEntry>>,
     /// Valid lifecycle transitions taken, indexed by position in
-    /// [`chemcost_lifecycle::TRANSITIONS`].
-    lifecycle_transitions: [AtomicU64; 13],
-    /// Retrain jobs waiting in the trainer queue (gauge).
-    lifecycle_queue_depth: AtomicI64,
-    /// Candidate fit wall time (success or failure).
-    lifecycle_fit_duration: Histogram,
-    /// Promotion decisions, indexed by [`PromotionOutcome::ALL`] position.
-    lifecycle_promotions: [AtomicU64; 4],
-    /// Open client connections in the event loop (gauge).
-    connections_open: AtomicI64,
-    /// Requests served on a reused (non-first) keep-alive exchange.
-    keepalive_reuses: ShardedCounter,
-    /// Batcher flushes, indexed by [`FlushReason`].
-    batch_flushes: [AtomicU64; 4],
-    /// Coalesced rows per flat-model batch call.
-    batch_size: SizeHistogram,
-    /// Monotonic clock anchor for the two timestamps below.
-    start: Instant,
-    /// Micros-since-`start` + 1 of the moment the serving model went
-    /// stale (first failed reload after a success); 0 = fresh.
+    /// [`TRANSITIONS`] (see [`Metrics::record_lifecycle_transition`]).
+    lifecycle_transitions: [Counter; TRANSITIONS.len()],
+    pub lifecycle_queue_depth: Gauge,
+    pub lifecycle_fit_duration: Histogram,
+    pub lifecycle_promotions: PerLabel<PromotionOutcome, Counter, 4>,
+    pub connections_open: Gauge,
+    pub batch_size: Histogram<Rows>,
+    pub batch_flushes: PerLabel<FlushReason, Counter, 4>,
+    pub keepalive_reuses: ShardedCounter,
+    pub request_stages: PerLabel<RequestStage, Histogram, 6>,
+    pub loop_iteration: Histogram,
+    pub loop_events_per_wake: Histogram<Rows>,
+    pub read_paused: Gauge,
+    pub write_stalled: Gauge,
+    pub alert_transitions: PerLabel<AlertState, Counter, 4>,
+    pub alerts_firing: Gauge,
+    pub alerts_pending: Gauge,
+    pub slo_evaluations: Counter,
+    pub slo_breaching: Gauge,
+    pub slo_scrapes: Counter,
+    /// [`now_stamp`] of the moment the serving model went stale (first
+    /// failed reload after a success); 0 = fresh.
     stale_since: AtomicU64,
-    /// Micros-since-`start` + 1 of the most recent shed; 0 = never.
+    /// [`now_stamp`] of the most recent shed; 0 = never.
     last_shed: AtomicU64,
-    /// Alert transitions by destination state, indexed ok/pending/
-    /// firing/resolved (health plane).
-    alert_transitions: [AtomicU64; 4],
-    /// SLOs whose alert is currently firing (gauge).
-    alerts_firing: AtomicI64,
-    /// SLOs whose alert is currently pending (gauge).
-    alerts_pending: AtomicI64,
-    /// SLO evaluations run by the health sampler.
-    slo_evaluations: AtomicU64,
-    /// SLOs breaching on their latest evaluation (gauge).
-    slo_breaching: AtomicI64,
-    /// Self-scrape samples taken by the health sampler.
-    slo_scrapes: AtomicU64,
 }
 
-impl Default for Metrics {
-    fn default() -> Metrics {
-        Metrics {
-            routes: Default::default(),
-            latency: Histogram::default(),
-            request_stages: Default::default(),
-            loop_iteration: Histogram::default(),
-            loop_events_per_wake: SizeHistogram::default(),
-            read_paused: AtomicI64::new(0),
-            write_stalled: AtomicI64::new(0),
-            advise_stages: Default::default(),
-            cache_hits: ShardedCounter::default(),
-            cache_misses: ShardedCounter::default(),
-            cache_entries: AtomicU64::new(0),
-            in_flight: AtomicI64::new(0),
-            pool_queue_depth: AtomicI64::new(0),
-            shed: AtomicU64::new(0),
-            deadline_exceeded: Default::default(),
-            reload_failures: AtomicU64::new(0),
-            stale_served: AtomicU64::new(0),
-            faults_injected: Default::default(),
-            quality_accepted: AtomicU64::new(0),
-            quality_rejected: AtomicU64::new(0),
-            quality: parking_lot::RwLock::new(Vec::new()),
-            lifecycle: parking_lot::RwLock::new(Vec::new()),
-            lifecycle_transitions: Default::default(),
-            lifecycle_queue_depth: AtomicI64::new(0),
-            lifecycle_fit_duration: Histogram::default(),
-            lifecycle_promotions: Default::default(),
-            connections_open: AtomicI64::new(0),
-            keepalive_reuses: ShardedCounter::default(),
-            batch_flushes: Default::default(),
-            batch_size: SizeHistogram::default(),
-            start: Instant::now(),
-            stale_since: AtomicU64::new(0),
-            last_shed: AtomicU64::new(0),
-            alert_transitions: Default::default(),
-            alerts_firing: AtomicI64::new(0),
-            alerts_pending: AtomicI64::new(0),
-            slo_evaluations: AtomicU64::new(0),
-            slo_breaching: AtomicI64::new(0),
-            slo_scrapes: AtomicU64::new(0),
-        }
-    }
+/// Micros elapsed since a process-wide monotonic anchor, offset by +1 so
+/// 0 can mean "unset" in the timestamp atomics.
+fn now_stamp() -> u64 {
+    static ANCHOR: OnceLock<Instant> = OnceLock::new();
+    ANCHOR.get_or_init(Instant::now).elapsed().as_micros() as u64 + 1
 }
 
 impl Metrics {
@@ -732,19 +934,12 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Micros elapsed since this `Metrics` was created, offset by +1 so
-    /// 0 can mean "unset" in the timestamp atomics.
-    fn now_stamp(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64 + 1
-    }
-
     /// Record one request: its route, whether the response was an error
     /// (HTTP status >= 400), and how long handling took.
     pub fn record(&self, route: Route, is_error: bool, elapsed: Duration) {
-        let stats = &self.routes[route.index()];
-        stats.requests.inc();
+        self.requests[route].inc();
         if is_error {
-            stats.errors.inc();
+            self.errors[route].inc();
         }
         self.latency.observe(elapsed);
     }
@@ -754,16 +949,10 @@ impl Metrics {
     /// the dedicated shed counter. Shed connections never produce a
     /// latency observation — they were refused, not handled.
     pub fn record_shed(&self) {
-        let stats = &self.routes[Route::Other.index()];
-        stats.requests.inc();
-        stats.errors.inc();
-        self.shed.fetch_add(1, Ordering::Relaxed);
-        self.last_shed.store(self.now_stamp(), Ordering::Relaxed);
-    }
-
-    /// Connections shed so far.
-    pub fn shed_total(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
+        self.requests[Route::Other].inc();
+        self.errors[Route::Other].inc();
+        self.shed.inc();
+        self.last_shed.store(now_stamp(), Ordering::Relaxed);
     }
 
     /// Did a shed happen within the last `window`? This is the overload
@@ -773,46 +962,16 @@ impl Metrics {
             0 => false,
             // Strictly less-than: a zero window never matches, even if
             // the shed landed on this very microsecond.
-            stamp => self.now_stamp().saturating_sub(stamp) < window.as_micros() as u64,
+            stamp => now_stamp().saturating_sub(stamp) < window.as_micros() as u64,
         }
-    }
-
-    /// Record one 504: the request's budget ran out at `stage`.
-    pub fn record_deadline_exceeded(&self, stage: DeadlineStage) {
-        self.deadline_exceeded[stage.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Deadline overruns recorded at one stage.
-    pub fn deadline_exceeded(&self, stage: DeadlineStage) -> u64 {
-        self.deadline_exceeded[stage.index()].load(Ordering::Relaxed)
-    }
-
-    /// Record one fault injection (mirrored here by the bound
-    /// [`crate::fault::FaultPlane`]).
-    pub fn record_fault(&self, kind: FaultKind) {
-        self.faults_injected[kind.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Injections recorded for one fault kind.
-    pub fn faults_injected(&self, kind: FaultKind) -> u64 {
-        self.faults_injected[kind.index()].load(Ordering::Relaxed)
     }
 
     /// Record a failed model reload and start the staleness clock (if
     /// it is not already running).
     pub fn record_reload_failure(&self) {
-        self.reload_failures.fetch_add(1, Ordering::Relaxed);
-        let _ = self.stale_since.compare_exchange(
-            0,
-            self.now_stamp(),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        );
-    }
-
-    /// Failed reloads so far.
-    pub fn reload_failures(&self) -> u64 {
-        self.reload_failures.load(Ordering::Relaxed)
+        self.reload_failures.inc();
+        let _ =
+            self.stale_since.compare_exchange(0, now_stamp(), Ordering::Relaxed, Ordering::Relaxed);
     }
 
     /// A reload succeeded: the serving model is fresh again.
@@ -825,28 +984,8 @@ impl Metrics {
     pub fn model_staleness_seconds(&self) -> f64 {
         match self.stale_since.load(Ordering::Relaxed) {
             0 => 0.0,
-            stamp => self.now_stamp().saturating_sub(stamp) as f64 / 1e6,
+            stamp => now_stamp().saturating_sub(stamp) as f64 / 1e6,
         }
-    }
-
-    /// Record the outcome of one `/v1/observe` report: accepted into
-    /// the rolling stats, or rejected with a structured 4xx.
-    pub fn record_quality_observation(&self, accepted: bool) {
-        if accepted {
-            self.quality_accepted.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.quality_rejected.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// `/v1/observe` reports accepted so far.
-    pub fn quality_accepted(&self) -> u64 {
-        self.quality_accepted.load(Ordering::Relaxed)
-    }
-
-    /// `/v1/observe` reports rejected so far.
-    pub fn quality_rejected(&self) -> u64 {
-        self.quality_rejected.load(Ordering::Relaxed)
     }
 
     /// Upsert the quality gauges for one `(model, version, machine)`
@@ -889,713 +1028,83 @@ impl Metrics {
         }
     }
 
-    /// Snapshot of every registered lifecycle group.
-    pub fn lifecycle_entries(&self) -> Vec<LifecycleEntry> {
-        self.lifecycle.read().clone()
-    }
-
     /// Count one valid lifecycle transition. Pairs outside the enumerated
     /// [`TRANSITIONS`] table are ignored (the hub never emits them).
     pub fn record_lifecycle_transition(&self, from: LifecycleState, to: LifecycleState) {
         if let Some(i) = TRANSITIONS.iter().position(|&(f, t)| f == from && t == to) {
-            self.lifecycle_transitions[i].fetch_add(1, Ordering::Relaxed);
+            self.lifecycle_transitions[i].inc();
         }
     }
 
-    /// Transitions counted for one `(from, to)` pair.
-    pub fn lifecycle_transitions(&self, from: LifecycleState, to: LifecycleState) -> u64 {
-        TRANSITIONS
-            .iter()
-            .position(|&(f, t)| f == from && t == to)
-            .map_or(0, |i| self.lifecycle_transitions[i].load(Ordering::Relaxed))
-    }
-
-    /// Update the trainer-queue depth gauge.
-    pub fn set_lifecycle_queue_depth(&self, depth: usize) {
-        self.lifecycle_queue_depth.store(depth as i64, Ordering::Relaxed);
-    }
-
-    /// Retrain jobs waiting in the trainer queue right now.
-    pub fn lifecycle_queue_depth(&self) -> u64 {
-        self.lifecycle_queue_depth.load(Ordering::Relaxed).max(0) as u64
-    }
-
-    /// Record one candidate fit's wall time (success or failure).
-    pub fn record_lifecycle_fit_duration(&self, elapsed: Duration) {
-        self.lifecycle_fit_duration.observe(elapsed);
-    }
-
-    /// Candidate fits recorded so far.
-    pub fn lifecycle_fits(&self) -> u64 {
-        self.lifecycle_fit_duration.count.load(Ordering::Relaxed)
-    }
-
-    /// Count one promotion decision.
-    pub fn record_lifecycle_promotion(&self, outcome: PromotionOutcome) {
-        let i = PromotionOutcome::ALL.iter().position(|&o| o == outcome).expect("outcome in ALL");
-        self.lifecycle_promotions[i].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Promotion decisions counted for one outcome.
-    pub fn lifecycle_promotions(&self, outcome: PromotionOutcome) -> u64 {
-        let i = PromotionOutcome::ALL.iter().position(|&o| o == outcome).expect("outcome in ALL");
-        self.lifecycle_promotions[i].load(Ordering::Relaxed)
-    }
-
-    /// Record an advise answer served from an older model version.
-    pub fn record_stale_served(&self) {
-        self.stale_served.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Stale advise answers served so far.
-    pub fn stale_served(&self) -> u64 {
-        self.stale_served.load(Ordering::Relaxed)
-    }
-
-    /// Record one `/v1/advise` stage duration.
-    pub fn record_advise_stage(&self, stage: AdviseStage, elapsed: Duration) {
-        self.advise_stages[stage.index()].observe(elapsed);
-    }
-
-    /// Observations recorded for one advise stage.
-    pub fn advise_stage_count(&self, stage: AdviseStage) -> u64 {
-        self.advise_stages[stage.index()].count.load(Ordering::Relaxed)
-    }
-
-    /// Mean recorded duration for one advise stage, in seconds (NaN when
-    /// the stage has no observations). Used by the promotion-safety tests
-    /// to bound the shadow stage's overhead against the full pipeline.
-    pub fn advise_stage_mean_seconds(&self, stage: AdviseStage) -> f64 {
-        let h = &self.advise_stages[stage.index()];
-        let n = h.count.load(Ordering::Relaxed);
-        if n == 0 {
-            return f64::NAN;
-        }
-        h.sum_micros.load(Ordering::Relaxed) as f64 / 1e6 / n as f64
-    }
-
-    /// A request entered the router.
-    pub fn inc_in_flight(&self) {
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A request left the router.
-    pub fn dec_in_flight(&self) {
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Requests currently in flight (clamped at 0 — concurrent inc/dec
-    /// can transiently observe a negative value).
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight.load(Ordering::Relaxed).max(0) as u64
-    }
-
-    /// A connection was queued for the worker pool.
-    pub fn pool_enqueued(&self) {
-        self.pool_queue_depth.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A queued connection was picked up by a worker (or bounced back
-    /// on a full queue).
-    pub fn pool_dequeued(&self) {
-        self.pool_queue_depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Connections waiting in the pool queue right now (clamped at 0).
-    pub fn pool_queue_depth(&self) -> u64 {
-        self.pool_queue_depth.load(Ordering::Relaxed).max(0) as u64
-    }
-
-    /// Total requests recorded for a route.
-    pub fn requests(&self, route: Route) -> u64 {
-        self.routes[route.index()].requests.load()
-    }
-
-    /// Total error responses recorded for a route.
-    pub fn errors(&self, route: Route) -> u64 {
-        self.routes[route.index()].errors.load()
-    }
-
-    /// A client connection was accepted by the event loop.
-    pub fn inc_connections_open(&self) {
-        self.connections_open.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A client connection was closed (either side).
-    pub fn dec_connections_open(&self) {
-        self.connections_open.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Client connections open right now (clamped at 0).
-    pub fn connections_open(&self) -> u64 {
-        self.connections_open.load(Ordering::Relaxed).max(0) as u64
-    }
-
-    /// Record a request served on a reused keep-alive exchange (any
-    /// request after the first on one connection).
-    pub fn record_keepalive_reuse(&self) {
-        self.keepalive_reuses.inc();
-    }
-
-    /// Keep-alive reuses so far.
-    pub fn keepalive_reuses(&self) -> u64 {
-        self.keepalive_reuses.load()
+    /// Count one alert transition into state `to`.
+    pub fn record_alert_transition(&self, to: AlertState) {
+        self.alert_transitions[to].inc();
     }
 
     /// Record one batcher flush: why it closed and how many rows the
     /// resulting flat-model call carried.
     pub fn record_batch_flush(&self, reason: FlushReason, rows: usize) {
-        self.batch_flushes[reason.index()].fetch_add(1, Ordering::Relaxed);
+        self.batch_flushes[reason].inc();
         self.batch_size.observe(rows);
     }
 
-    /// Flushes recorded for one reason.
-    pub fn batch_flushes(&self, reason: FlushReason) -> u64 {
-        self.batch_flushes[reason.index()].load(Ordering::Relaxed)
-    }
-
-    /// Batched flat-model calls recorded so far (all reasons).
-    pub fn batch_calls(&self) -> u64 {
-        self.batch_size.count.load(Ordering::Relaxed)
-    }
-
-    /// Total rows scored through the batcher so far.
-    pub fn batch_rows(&self) -> u64 {
-        self.batch_size.sum.load(Ordering::Relaxed)
-    }
-
-    /// Record one stage of a completed request timeline.
-    pub fn record_request_stage(&self, stage: RequestStage, elapsed: Duration) {
-        self.request_stages[stage.index()].observe(elapsed);
-    }
-
-    /// Observations recorded for one request-timeline stage.
-    pub fn request_stage_count(&self, stage: RequestStage) -> u64 {
-        self.request_stages[stage.index()].count.load(Ordering::Relaxed)
-    }
-
-    /// Seconds recorded for one request-timeline stage, summed.
-    pub fn request_stage_sum_seconds(&self, stage: RequestStage) -> f64 {
-        self.request_stages[stage.index()].sum_micros.load(Ordering::Relaxed) as f64 / 1e6
-    }
-
-    /// Record one event-loop pass: how long processing one epoll wake
-    /// took and how many readiness events it delivered.
-    pub fn record_loop_iteration(&self, elapsed: Duration, events: usize) {
-        self.loop_iteration.observe(elapsed);
-        self.loop_events_per_wake.observe(events);
-    }
-
-    /// Event-loop iterations recorded so far.
-    pub fn loop_iterations(&self) -> u64 {
-        self.loop_iteration.count.load(Ordering::Relaxed)
-    }
-
-    /// A connection's reads were paused by backpressure (pipeline cap or
-    /// write high-water mark).
-    pub fn inc_read_paused(&self) {
-        self.read_paused.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A read-paused connection resumed (or closed).
-    pub fn dec_read_paused(&self) {
-        self.read_paused.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Connections currently read-paused (clamped at 0).
-    pub fn read_paused(&self) -> u64 {
-        self.read_paused.load(Ordering::Relaxed).max(0) as u64
-    }
-
-    /// A connection was left with unsent response bytes after a flush
-    /// (the socket would block — a slow or stalled consumer).
-    pub fn inc_write_stalled(&self) {
-        self.write_stalled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A write-stalled connection drained (or closed).
-    pub fn dec_write_stalled(&self) {
-        self.write_stalled.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Connections currently write-stalled (clamped at 0).
-    pub fn write_stalled(&self) -> u64 {
-        self.write_stalled.load(Ordering::Relaxed).max(0) as u64
-    }
-
-    /// Record an advise-cache hit.
-    pub fn record_cache_hit(&self) {
-        self.cache_hits.inc();
-    }
-
-    /// Record an advise-cache miss.
-    pub fn record_cache_miss(&self) {
-        self.cache_misses.inc();
-    }
-
-    /// Update the advise-cache size gauge.
-    pub fn set_cache_entries(&self, n: usize) {
-        self.cache_entries.store(n as u64, Ordering::Relaxed);
-    }
-
-    /// Advise-cache hits so far.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.load()
-    }
-
-    /// Advise-cache misses so far.
-    pub fn cache_misses(&self) -> u64 {
-        self.cache_misses.load()
-    }
-
-    /// Cached advise answers right now.
-    pub fn cache_entries(&self) -> u64 {
-        self.cache_entries.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot one histogram as `(buckets, sum_micros, count)`. The
-    /// count is read *first*: `observe` bumps bucket → sum → count, so
-    /// reading in the opposite order guarantees
-    /// `sum(buckets) >= count` — a snapshot can under-report the very
-    /// newest observation but never tear a bucket/count pair.
-    fn snapshot_histogram(h: &Histogram) -> ([u64; 11], u64, u64) {
-        let count = h.count.load(Ordering::Acquire);
-        let sum_micros = h.sum_micros.load(Ordering::Acquire);
-        let mut buckets = [0u64; 11];
-        for (b, a) in buckets.iter_mut().zip(&h.buckets) {
-            *b = a.load(Ordering::Acquire);
-        }
-        (buckets, sum_micros, count)
-    }
-
-    /// Histogram bucket upper bounds shared by every latency histogram
-    /// (seconds; the 11th bucket is `+Inf`).
-    pub fn histogram_bounds() -> &'static [f64] {
-        &BUCKETS
-    }
-
-    /// Torn-pair-free snapshot of the whole-request latency histogram.
-    pub fn latency_snapshot(&self) -> ([u64; 11], u64, u64) {
-        Metrics::snapshot_histogram(&self.latency)
-    }
-
-    /// Torn-pair-free snapshot of one advise-stage histogram.
-    pub fn advise_stage_snapshot(&self, stage: AdviseStage) -> ([u64; 11], u64, u64) {
-        Metrics::snapshot_histogram(&self.advise_stages[stage.index()])
-    }
-
-    /// Torn-pair-free snapshot of one request-timeline stage histogram.
-    pub fn request_stage_snapshot(&self, stage: RequestStage) -> ([u64; 11], u64, u64) {
-        Metrics::snapshot_histogram(&self.request_stages[stage.index()])
-    }
-
-    /// Count one alert transition by destination-state label
-    /// ("ok"/"pending"/"firing"/"resolved"); anything else is ignored
-    /// so the label set stays pre-registered.
-    pub fn record_alert_transition(&self, to: &str) {
-        let i = match to {
-            "ok" => 0,
-            "pending" => 1,
-            "firing" => 2,
-            "resolved" => 3,
-            _ => return,
-        };
-        self.alert_transitions[i].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Alert transitions counted into one destination state.
-    pub fn alert_transitions(&self, to: &str) -> u64 {
-        match to {
-            "ok" => self.alert_transitions[0].load(Ordering::Relaxed),
-            "pending" => self.alert_transitions[1].load(Ordering::Relaxed),
-            "firing" => self.alert_transitions[2].load(Ordering::Relaxed),
-            "resolved" => self.alert_transitions[3].load(Ordering::Relaxed),
-            _ => 0,
-        }
-    }
-
-    /// Update the firing/pending alert gauges after an evaluation pass.
-    pub fn set_alert_gauges(&self, firing: usize, pending: usize) {
-        self.alerts_firing.store(firing as i64, Ordering::Relaxed);
-        self.alerts_pending.store(pending as i64, Ordering::Relaxed);
-    }
-
-    /// SLO alerts currently firing.
-    pub fn alerts_firing(&self) -> u64 {
-        self.alerts_firing.load(Ordering::Relaxed).max(0) as u64
-    }
-
-    /// SLO alerts currently pending.
-    pub fn alerts_pending(&self) -> u64 {
-        self.alerts_pending.load(Ordering::Relaxed).max(0) as u64
-    }
-
-    /// Account one health-sampler pass: `evaluations` SLO evaluations
-    /// ran, `breaching` of them found both burn windows over threshold.
-    pub fn record_slo_scrape(&self, evaluations: u64, breaching: usize) {
-        self.slo_scrapes.fetch_add(1, Ordering::Relaxed);
-        self.slo_evaluations.fetch_add(evaluations, Ordering::Relaxed);
-        self.slo_breaching.store(breaching as i64, Ordering::Relaxed);
-    }
-
-    /// Self-scrape samples taken so far.
-    pub fn slo_scrapes(&self) -> u64 {
-        self.slo_scrapes.load(Ordering::Relaxed)
-    }
-
-    /// SLO evaluations run so far.
-    pub fn slo_evaluations(&self) -> u64 {
-        self.slo_evaluations.load(Ordering::Relaxed)
-    }
-
-    /// SLOs breaching on the latest evaluation.
-    pub fn slo_breaching(&self) -> u64 {
-        self.slo_breaching.load(Ordering::Relaxed).max(0) as u64
-    }
-
-    /// Render the Prometheus text exposition.
+    /// Render the Prometheus text exposition: every family of
+    /// [`FAMILIES`], in table order.
     pub fn render(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("# HELP chemcost_build_info Build metadata; constant 1.\n");
-        out.push_str("# TYPE chemcost_build_info gauge\n");
-        out.push_str(&format!(
-            "chemcost_build_info{{version=\"{BUILD_VERSION}\",git_sha=\"{BUILD_GIT_SHA}\",dirty=\"{BUILD_DIRTY}\"}} 1\n"
-        ));
-        out.push_str("# HELP chemcost_requests_total Requests handled, by route.\n");
-        out.push_str("# TYPE chemcost_requests_total counter\n");
-        for route in Route::ALL {
-            let n = self.requests(route);
-            out.push_str(&format!("chemcost_requests_total{{route=\"{}\"}} {n}\n", route.label()));
-        }
-        out.push_str(
-            "# HELP chemcost_request_errors_total Error responses (status >= 400), by route.\n",
-        );
-        out.push_str("# TYPE chemcost_request_errors_total counter\n");
-        for route in Route::ALL {
-            let n = self.errors(route);
-            out.push_str(&format!(
-                "chemcost_request_errors_total{{route=\"{}\"}} {n}\n",
-                route.label()
-            ));
-        }
-        out.push_str("# HELP chemcost_requests_in_flight Requests currently being handled.\n");
-        out.push_str("# TYPE chemcost_requests_in_flight gauge\n");
-        out.push_str(&format!("chemcost_requests_in_flight {}\n", self.in_flight()));
-        out.push_str("# HELP chemcost_pool_queue_depth Connections queued for the worker pool.\n");
-        out.push_str("# TYPE chemcost_pool_queue_depth gauge\n");
-        out.push_str(&format!("chemcost_pool_queue_depth {}\n", self.pool_queue_depth()));
-        out.push_str(
-            "# HELP chemcost_requests_shed_total Connections answered 503 because the pool queue was full.\n",
-        );
-        out.push_str("# TYPE chemcost_requests_shed_total counter\n");
-        out.push_str(&format!("chemcost_requests_shed_total {}\n", self.shed_total()));
-        out.push_str("# HELP chemcost_request_duration_seconds Request handling latency.\n");
-        out.push_str("# TYPE chemcost_request_duration_seconds histogram\n");
-        self.latency.render(&mut out, "chemcost_request_duration_seconds", "");
-        out.push_str(
-            "# HELP chemcost_advise_stage_duration_seconds Advise pipeline latency, by stage (cache probe, model sweep, JSON encode).\n",
-        );
-        out.push_str("# TYPE chemcost_advise_stage_duration_seconds histogram\n");
-        for stage in AdviseStage::ALL {
-            self.advise_stages[stage.index()].render(
-                &mut out,
-                "chemcost_advise_stage_duration_seconds",
-                &format!("stage=\"{}\",", stage.label()),
-            );
-        }
-        out.push_str("# HELP chemcost_advise_cache_hits_total Advise answers served from cache.\n");
-        out.push_str("# TYPE chemcost_advise_cache_hits_total counter\n");
-        out.push_str(&format!("chemcost_advise_cache_hits_total {}\n", self.cache_hits()));
-        out.push_str(
-            "# HELP chemcost_advise_cache_misses_total Advise answers that ran the sweep.\n",
-        );
-        out.push_str("# TYPE chemcost_advise_cache_misses_total counter\n");
-        out.push_str(&format!("chemcost_advise_cache_misses_total {}\n", self.cache_misses()));
-        out.push_str("# HELP chemcost_advise_cache_entries Cached advise answers.\n");
-        out.push_str("# TYPE chemcost_advise_cache_entries gauge\n");
-        out.push_str(&format!(
-            "chemcost_advise_cache_entries {}\n",
-            self.cache_entries.load(Ordering::Relaxed)
-        ));
-        out.push_str(
-            "# HELP chemcost_deadline_exceeded_total Requests answered 504, by the stage where the budget ran out.\n",
-        );
-        out.push_str("# TYPE chemcost_deadline_exceeded_total counter\n");
-        for stage in DeadlineStage::ALL {
-            out.push_str(&format!(
-                "chemcost_deadline_exceeded_total{{stage=\"{}\"}} {}\n",
-                stage.label(),
-                self.deadline_exceeded(stage)
-            ));
-        }
-        out.push_str(
-            "# HELP chemcost_model_staleness_seconds Seconds since the serving model went stale (a reload failed); 0 when fresh.\n",
-        );
-        out.push_str("# TYPE chemcost_model_staleness_seconds gauge\n");
-        out.push_str(&format!(
-            "chemcost_model_staleness_seconds {}\n",
-            self.model_staleness_seconds()
-        ));
-        out.push_str(
-            "# HELP chemcost_model_reload_failures_total Failed model reloads (the last-good model kept serving).\n",
-        );
-        out.push_str("# TYPE chemcost_model_reload_failures_total counter\n");
-        out.push_str(&format!("chemcost_model_reload_failures_total {}\n", self.reload_failures()));
-        out.push_str(
-            "# HELP chemcost_advise_stale_served_total Advise answers replayed from an older model version under overload.\n",
-        );
-        out.push_str("# TYPE chemcost_advise_stale_served_total counter\n");
-        out.push_str(&format!("chemcost_advise_stale_served_total {}\n", self.stale_served()));
-        out.push_str(
-            "# HELP chemcost_faults_injected_total Faults injected by the chaos plane, by kind.\n",
-        );
-        out.push_str("# TYPE chemcost_faults_injected_total counter\n");
-        for kind in FaultKind::ALL {
-            out.push_str(&format!(
-                "chemcost_faults_injected_total{{kind=\"{}\"}} {}\n",
-                kind.label(),
-                self.faults_injected(kind)
-            ));
-        }
-        out.push_str(
-            "# HELP chemcost_quality_observations_total Ground-truth runtime reports on /v1/observe, by outcome (accepted into the rolling stats, or rejected 4xx).\n",
-        );
-        out.push_str("# TYPE chemcost_quality_observations_total counter\n");
-        out.push_str(&format!(
-            "chemcost_quality_observations_total{{outcome=\"accepted\"}} {}\n",
-            self.quality_accepted()
-        ));
-        out.push_str(&format!(
-            "chemcost_quality_observations_total{{outcome=\"rejected\"}} {}\n",
-            self.quality_rejected()
-        ));
-        let groups = self.quality.read().clone();
-        let labels = |e: &QualityEntry| {
-            format!("model=\"{}\",version=\"{}\",machine=\"{}\"", e.model, e.version, e.machine)
-        };
-        out.push_str(
-            "# HELP chemcost_model_mape Windowed mean absolute percentage error of served predictions against observed runtimes; NaN until the first observation.\n",
-        );
-        out.push_str("# TYPE chemcost_model_mape gauge\n");
-        for e in &groups {
-            out.push_str(&format!("chemcost_model_mape{{{}}} {}\n", labels(e), e.stats.mape));
-        }
-        out.push_str(
-            "# HELP chemcost_model_bias_seconds Windowed signed bias mean(predicted - measured) in seconds; positive means the model over-promises runtime.\n",
-        );
-        out.push_str("# TYPE chemcost_model_bias_seconds gauge\n");
-        for e in &groups {
-            out.push_str(&format!(
-                "chemcost_model_bias_seconds{{{}}} {}\n",
-                labels(e),
-                e.stats.bias_seconds
-            ));
-        }
-        out.push_str(
-            "# HELP chemcost_residual_seconds Windowed absolute prediction residual quantiles, in seconds.\n",
-        );
-        out.push_str("# TYPE chemcost_residual_seconds gauge\n");
-        for e in &groups {
-            for (q, v) in [
-                ("0.5", e.stats.residual_p50),
-                ("0.9", e.stats.residual_p90),
-                ("0.99", e.stats.residual_p99),
-            ] {
-                out.push_str(&format!(
-                    "chemcost_residual_seconds{{{},quantile=\"{q}\"}} {v}\n",
-                    labels(e)
-                ));
+        let mut out = String::with_capacity(16 * 1024);
+        let quality = self.quality.read();
+        let lifecycle = self.lifecycle.read();
+        for fam in FAMILIES {
+            let name = fam.name;
+            let _ = writeln!(out, "# HELP {name} {}", fam.help);
+            let _ = writeln!(out, "# TYPE {name} {}", fam.kind.label());
+            match (fam.source)(self) {
+                Source::Build => {
+                    let _ = writeln!(
+                        out,
+                        "{name}{{version=\"{BUILD_VERSION}\",git_sha=\"{BUILD_GIT_SHA}\",dirty=\"{BUILD_DIRTY}\"}} 1"
+                    );
+                }
+                Source::Counters(h) => fam.write_values(&mut out, h.iter().map(Counter::get)),
+                Source::Sharded(h) => fam.write_values(&mut out, h.iter().map(ShardedCounter::get)),
+                Source::Gauges(h) => fam.write_values(&mut out, h.iter().map(Gauge::get)),
+                Source::Value(v) => {
+                    let _ = writeln!(out, "{name} {v}");
+                }
+                Source::Seconds(h) => fam.write_histograms(&mut out, h),
+                Source::Rows(h) => fam.write_histograms(&mut out, h),
+                Source::Quality(read) => {
+                    let quantiles = match fam.labels {
+                        Labels::Quality(quantiles) => quantiles,
+                        _ => &[],
+                    };
+                    for e in quality.iter() {
+                        for q in 0..quantiles.len().max(1) {
+                            let _ = write!(
+                                out,
+                                "{name}{{model=\"{}\",version=\"{}\",machine=\"{}\"",
+                                e.model, e.version, e.machine
+                            );
+                            if let Some(quantile) = quantiles.get(q) {
+                                let _ = write!(out, ",quantile=\"{quantile}\"");
+                            }
+                            let _ = writeln!(out, "}} {}", read(&e.stats, q));
+                        }
+                    }
+                }
+                Source::Lifecycle => {
+                    for e in lifecycle.iter() {
+                        let _ = writeln!(
+                            out,
+                            "{name}{{model=\"{}\",machine=\"{}\"}} {}",
+                            e.model,
+                            e.machine,
+                            e.state.code()
+                        );
+                    }
+                }
             }
         }
-        out.push_str(
-            "# HELP chemcost_calibration_ratio Fraction of sigma-carrying residuals inside the predicted +/-sigma band (well-calibrated Gaussian: ~0.68).\n",
-        );
-        out.push_str("# TYPE chemcost_calibration_ratio gauge\n");
-        for e in &groups {
-            out.push_str(&format!(
-                "chemcost_calibration_ratio{{{}}} {}\n",
-                labels(e),
-                e.stats.calibration_ratio
-            ));
-        }
-        out.push_str(
-            "# HELP chemcost_model_degraded 1 when the drift detector has tripped for the group and the model has not been refreshed since, else 0.\n",
-        );
-        out.push_str("# TYPE chemcost_model_degraded gauge\n");
-        for e in &groups {
-            out.push_str(&format!(
-                "chemcost_model_degraded{{{}}} {}\n",
-                labels(e),
-                u64::from(e.stats.degraded)
-            ));
-        }
-        out.push_str(
-            "# HELP chemcost_drift_trips_total Page-Hinkley drift-detector trips over the residual stream, per serving group.\n",
-        );
-        out.push_str("# TYPE chemcost_drift_trips_total counter\n");
-        for e in &groups {
-            out.push_str(&format!(
-                "chemcost_drift_trips_total{{{}}} {}\n",
-                labels(e),
-                e.stats.drift_trips
-            ));
-        }
-        out.push_str(
-            "# HELP chemcost_quality_pool_size Observations currently retained in the group's training pool.\n",
-        );
-        out.push_str("# TYPE chemcost_quality_pool_size gauge\n");
-        for e in &groups {
-            out.push_str(&format!(
-                "chemcost_quality_pool_size{{{}}} {}\n",
-                labels(e),
-                e.stats.pool_size
-            ));
-        }
-        out.push_str(
-            "# HELP chemcost_quality_pool_evictions_total Observations silently evicted from the full training pool, per serving group.\n",
-        );
-        out.push_str("# TYPE chemcost_quality_pool_evictions_total counter\n");
-        for e in &groups {
-            out.push_str(&format!(
-                "chemcost_quality_pool_evictions_total{{{}}} {}\n",
-                labels(e),
-                e.stats.pool_evictions
-            ));
-        }
-        let lifecycle = self.lifecycle.read().clone();
-        out.push_str(
-            "# HELP chemcost_lifecycle_state Retrain/shadow/promote state per (model, machine) group: 0=idle 1=queued 2=training 3=shadow 4=promoted 5=rejected 6=rolled-back.\n",
-        );
-        out.push_str("# TYPE chemcost_lifecycle_state gauge\n");
-        for e in &lifecycle {
-            out.push_str(&format!(
-                "chemcost_lifecycle_state{{model=\"{}\",machine=\"{}\"}} {}\n",
-                e.model,
-                e.machine,
-                e.state.code()
-            ));
-        }
-        out.push_str(
-            "# HELP chemcost_lifecycle_transitions_total Lifecycle state-machine transitions taken, by (from, to) pair.\n",
-        );
-        out.push_str("# TYPE chemcost_lifecycle_transitions_total counter\n");
-        for (i, (from, to)) in TRANSITIONS.iter().enumerate() {
-            out.push_str(&format!(
-                "chemcost_lifecycle_transitions_total{{from=\"{}\",to=\"{}\"}} {}\n",
-                from.label(),
-                to.label(),
-                self.lifecycle_transitions[i].load(Ordering::Relaxed)
-            ));
-        }
-        out.push_str(
-            "# HELP chemcost_lifecycle_queue_depth Retrain jobs waiting in the background trainer's bounded queue.\n",
-        );
-        out.push_str("# TYPE chemcost_lifecycle_queue_depth gauge\n");
-        out.push_str(&format!("chemcost_lifecycle_queue_depth {}\n", self.lifecycle_queue_depth()));
-        out.push_str(
-            "# HELP chemcost_lifecycle_fit_duration_seconds Wall time of one background candidate fit (success or failure).\n",
-        );
-        out.push_str("# TYPE chemcost_lifecycle_fit_duration_seconds histogram\n");
-        self.lifecycle_fit_duration.render(&mut out, "chemcost_lifecycle_fit_duration_seconds", "");
-        out.push_str(
-            "# HELP chemcost_lifecycle_promotions_total Promotion decisions, by outcome (auto, operator, rejected, rolled-back).\n",
-        );
-        out.push_str("# TYPE chemcost_lifecycle_promotions_total counter\n");
-        for outcome in PromotionOutcome::ALL {
-            out.push_str(&format!(
-                "chemcost_lifecycle_promotions_total{{outcome=\"{}\"}} {}\n",
-                outcome.label(),
-                self.lifecycle_promotions(outcome)
-            ));
-        }
-        out.push_str(
-            "# HELP chemcost_connections_open Client connections currently open in the event loop.\n",
-        );
-        out.push_str("# TYPE chemcost_connections_open gauge\n");
-        out.push_str(&format!("chemcost_connections_open {}\n", self.connections_open()));
-        out.push_str(
-            "# HELP chemcost_batch_size Coalesced rows per flat-model batch call made by the micro-batcher.\n",
-        );
-        out.push_str("# TYPE chemcost_batch_size histogram\n");
-        self.batch_size.render(&mut out, "chemcost_batch_size");
-        out.push_str(
-            "# HELP chemcost_batch_flush_total Micro-batcher flushes, by trigger (full budget, window expiry, drain, shutdown).\n",
-        );
-        out.push_str("# TYPE chemcost_batch_flush_total counter\n");
-        for reason in FlushReason::ALL {
-            out.push_str(&format!(
-                "chemcost_batch_flush_total{{reason=\"{}\"}} {}\n",
-                reason.label(),
-                self.batch_flushes(reason)
-            ));
-        }
-        out.push_str(
-            "# HELP chemcost_keepalive_reuses_total Requests served on a reused keep-alive exchange (any request after a connection's first).\n",
-        );
-        out.push_str("# TYPE chemcost_keepalive_reuses_total counter\n");
-        out.push_str(&format!("chemcost_keepalive_reuses_total {}\n", self.keepalive_reuses()));
-        out.push_str(
-            "# HELP chemcost_request_stage_duration_seconds Per-stage request-timeline latency through the event loop (read, queue, batch_wait, handler, reorder, write); the stages of one request sum to its first-byte to last-byte wall time.\n",
-        );
-        out.push_str("# TYPE chemcost_request_stage_duration_seconds histogram\n");
-        for stage in RequestStage::ALL {
-            self.request_stages[stage.index()].render(
-                &mut out,
-                "chemcost_request_stage_duration_seconds",
-                &format!("stage=\"{}\",", stage.label()),
-            );
-        }
-        out.push_str(
-            "# HELP chemcost_event_loop_iteration_duration_seconds Processing time of one event-loop pass (one epoll wake).\n",
-        );
-        out.push_str("# TYPE chemcost_event_loop_iteration_duration_seconds histogram\n");
-        self.loop_iteration.render(&mut out, "chemcost_event_loop_iteration_duration_seconds", "");
-        out.push_str(
-            "# HELP chemcost_event_loop_events_per_wake Readiness events delivered per epoll wake.\n",
-        );
-        out.push_str("# TYPE chemcost_event_loop_events_per_wake histogram\n");
-        self.loop_events_per_wake.render(&mut out, "chemcost_event_loop_events_per_wake");
-        out.push_str(
-            "# HELP chemcost_connections_read_paused Connections whose reads are paused by backpressure (pipeline cap or write high-water mark).\n",
-        );
-        out.push_str("# TYPE chemcost_connections_read_paused gauge\n");
-        out.push_str(&format!("chemcost_connections_read_paused {}\n", self.read_paused()));
-        out.push_str(
-            "# HELP chemcost_connections_write_stalled Connections holding unsent response bytes after a flush (slow consumers).\n",
-        );
-        out.push_str("# TYPE chemcost_connections_write_stalled gauge\n");
-        out.push_str(&format!("chemcost_connections_write_stalled {}\n", self.write_stalled()));
-        out.push_str(
-            "# HELP chemcost_alerts_transitions_total SLO alert state transitions, by destination state.\n",
-        );
-        out.push_str("# TYPE chemcost_alerts_transitions_total counter\n");
-        for to in ["ok", "pending", "firing", "resolved"] {
-            out.push_str(&format!(
-                "chemcost_alerts_transitions_total{{to=\"{to}\"}} {}\n",
-                self.alert_transitions(to)
-            ));
-        }
-        out.push_str("# HELP chemcost_alerts_firing SLO alerts currently firing.\n");
-        out.push_str("# TYPE chemcost_alerts_firing gauge\n");
-        out.push_str(&format!("chemcost_alerts_firing {}\n", self.alerts_firing()));
-        out.push_str("# HELP chemcost_alerts_pending SLO alerts currently pending.\n");
-        out.push_str("# TYPE chemcost_alerts_pending gauge\n");
-        out.push_str(&format!("chemcost_alerts_pending {}\n", self.alerts_pending()));
-        out.push_str(
-            "# HELP chemcost_slo_evaluations_total SLO evaluations run by the health sampler.\n",
-        );
-        out.push_str("# TYPE chemcost_slo_evaluations_total counter\n");
-        out.push_str(&format!("chemcost_slo_evaluations_total {}\n", self.slo_evaluations()));
-        out.push_str(
-            "# HELP chemcost_slo_breaching SLOs breaching both burn windows on the latest evaluation.\n",
-        );
-        out.push_str("# TYPE chemcost_slo_breaching gauge\n");
-        out.push_str(&format!("chemcost_slo_breaching {}\n", self.slo_breaching()));
-        out.push_str(
-            "# HELP chemcost_slo_scrapes_total Self-scrape samples taken by the health sampler.\n",
-        );
-        out.push_str("# TYPE chemcost_slo_scrapes_total counter\n");
-        out.push_str(&format!("chemcost_slo_scrapes_total {}\n", self.slo_scrapes()));
         out
     }
 }
@@ -1614,15 +1123,15 @@ impl LifecycleObserver for LifecycleMetricsBridge {
     }
 
     fn on_queue_depth(&self, depth: usize) {
-        self.0.set_lifecycle_queue_depth(depth);
+        self.0.lifecycle_queue_depth.set(depth);
     }
 
     fn on_fit_duration(&self, seconds: f64) {
-        self.0.record_lifecycle_fit_duration(Duration::from_secs_f64(seconds.max(0.0)));
+        self.0.lifecycle_fit_duration.observe(Duration::from_secs_f64(seconds.max(0.0)));
     }
 
     fn on_promotion(&self, outcome: PromotionOutcome) {
-        self.0.record_lifecycle_promotion(outcome);
+        self.0.lifecycle_promotions[outcome].inc();
     }
 }
 
@@ -1633,14 +1142,12 @@ impl LifecycleObserver for LifecycleMetricsBridge {
 /// run of the CI smoke job reports all defects at once.
 pub fn lint_exposition(text: &str) -> Result<(), Vec<String>> {
     let mut problems = Vec::new();
-    let mut helped = std::collections::HashSet::new();
-    let mut typed: std::collections::HashMap<String, String> = std::collections::HashMap::new();
+    let mut helped = HashSet::new();
+    let mut typed: HashMap<String, String> = HashMap::new();
     // (family, labels-without-le) -> cumulative bucket values in order,
     // and the matching _count value when seen.
-    let mut hist_buckets: std::collections::HashMap<(String, String), Vec<(String, f64)>> =
-        std::collections::HashMap::new();
-    let mut hist_counts: std::collections::HashMap<(String, String), f64> =
-        std::collections::HashMap::new();
+    let mut hist_buckets: HashMap<(String, String), Vec<(String, f64)>> = HashMap::new();
+    let mut hist_counts: HashMap<(String, String), f64> = HashMap::new();
 
     fn valid_name(name: &str) -> bool {
         let mut chars = name.chars();
@@ -1855,149 +1362,77 @@ pub fn lint_exposition_with_required(text: &str, required: &[&str]) -> Result<()
 mod tests {
     use super::*;
 
+    /// A registry as the router leaves it at startup: one quality group
+    /// and one lifecycle group.
+    fn registered() -> Metrics {
+        let m = Metrics::new();
+        m.set_model_quality("gb", 1, "aurora", QualityStats::default());
+        m.set_lifecycle_state("gb", "aurora", LifecycleState::Idle);
+        m
+    }
+
+    /// Family names are unique and every fixed label set has exactly one
+    /// handle per label value.
     #[test]
-    fn counts_requests_and_errors_per_route() {
+    fn family_handles_match_their_labels() {
+        let m = Metrics::new();
+        for (i, fam) in FAMILIES.iter().enumerate() {
+            assert!(FAMILIES[..i].iter().all(|f| f.name != fam.name), "duplicate {}", fam.name);
+            assert_eq!(REQUIRED_SERIES[i], fam.name);
+            let series = match (fam.source)(&m) {
+                Source::Counters(h) => h.len(),
+                Source::Sharded(h) => h.len(),
+                Source::Gauges(h) => h.len(),
+                Source::Seconds(h) => h.len(),
+                Source::Rows(h) => h.len(),
+                Source::Build | Source::Value(_) | Source::Quality(_) | Source::Lifecycle => 1,
+            };
+            let expected = match fam.labels {
+                Labels::Enum(_, values) => values.len(),
+                Labels::Transitions => TRANSITIONS.len(),
+                _ => 1,
+            };
+            assert_eq!(series, expected, "{}", fam.name);
+        }
+    }
+
+    #[test]
+    fn handles_record_and_read_back() {
         let m = Metrics::new();
         m.record(Route::Predict, false, Duration::from_millis(2));
         m.record(Route::Predict, true, Duration::from_millis(2));
-        m.record(Route::Advise, false, Duration::from_millis(1));
-        assert_eq!(m.requests(Route::Predict), 2);
-        assert_eq!(m.errors(Route::Predict), 1);
-        assert_eq!(m.requests(Route::Advise), 1);
-        assert_eq!(m.errors(Route::Advise), 0);
-        assert_eq!(m.requests(Route::Healthz), 0);
-    }
-
-    #[test]
-    fn render_contains_all_series() {
-        let m = Metrics::new();
-        m.record(Route::Healthz, false, Duration::from_micros(50));
-        let text = m.render();
-        assert!(text.contains("chemcost_requests_total{route=\"healthz\"} 1"));
-        assert!(text.contains("chemcost_requests_total{route=\"predict\"} 0"));
-        assert!(text.contains("chemcost_request_errors_total{route=\"healthz\"} 0"));
-        assert!(text.contains("chemcost_request_duration_seconds_count 1"));
-        assert!(text.contains("le=\"+Inf\"} 1"));
-        assert!(text.contains("chemcost_requests_in_flight 0"));
-        assert!(text.contains("chemcost_pool_queue_depth 0"));
-        assert!(text.contains("chemcost_requests_shed_total 0"));
-        assert!(text.contains("chemcost_advise_stage_duration_seconds_bucket{stage=\"sweep\","));
-    }
-
-    #[test]
-    fn cache_counters_render() {
-        let m = Metrics::new();
-        m.record_cache_miss();
-        m.record_cache_hit();
-        m.record_cache_hit();
-        m.set_cache_entries(1);
-        assert_eq!(m.cache_hits(), 2);
-        assert_eq!(m.cache_misses(), 1);
-        let text = m.render();
-        assert!(text.contains("chemcost_advise_cache_hits_total 2"));
-        assert!(text.contains("chemcost_advise_cache_misses_total 1"));
-        assert!(text.contains("chemcost_advise_cache_entries 1"));
-    }
-
-    #[test]
-    fn histogram_buckets_are_cumulative() {
-        let m = Metrics::new();
-        m.record(Route::Other, false, Duration::from_micros(50)); // <= 1e-4
-        m.record(Route::Other, false, Duration::from_millis(20)); // <= 5e-2
-        m.record(Route::Other, false, Duration::from_secs(10)); // overflow
-        let text = m.render();
-        assert!(text.contains("le=\"0.0001\"} 1"));
-        assert!(text.contains("le=\"0.05\"} 2"));
-        assert!(text.contains("le=\"5\"} 2"));
-        assert!(text.contains("le=\"+Inf\"} 3"));
-    }
-
-    #[test]
-    fn shed_accounts_route_error_and_counter() {
-        let m = Metrics::new();
+        m.record(Route::Advise, false, Duration::from_secs(10)); // overflow bucket
+        assert_eq!(m.requests[Route::Predict].get(), 2);
+        assert_eq!(m.errors[Route::Predict].get(), 1);
+        assert_eq!(m.errors[Route::Advise].get(), 0);
+        let (buckets, sum, count) = m.latency.snapshot();
+        assert_eq!((buckets[3], buckets[10], count), (2, 1, 3), "{buckets:?}");
+        assert_eq!(sum, 10_004_000, "latency sums whole microseconds");
+        assert!((m.latency.mean_seconds() - 10.004 / 3.0).abs() < 1e-12);
+        assert!(Metrics::new().latency.mean_seconds().is_nan());
+        // Shed connections count as an `other` request and error, never
+        // as a latency observation — they were refused, not handled.
         m.record_shed();
-        m.record_shed();
-        assert_eq!(m.shed_total(), 2);
-        assert_eq!(m.requests(Route::Other), 2);
-        assert_eq!(m.errors(Route::Other), 2);
-        let text = m.render();
-        assert!(text.contains("chemcost_requests_shed_total 2"));
-        // Shed connections are refused, not timed.
-        assert!(text.contains("chemcost_request_duration_seconds_count 0"));
-    }
-
-    #[test]
-    fn gauges_track_in_flight_and_queue_depth() {
-        let m = Metrics::new();
-        m.inc_in_flight();
-        m.inc_in_flight();
-        m.dec_in_flight();
-        assert_eq!(m.in_flight(), 1);
-        m.pool_enqueued();
-        m.pool_enqueued();
-        m.pool_dequeued();
-        assert_eq!(m.pool_queue_depth(), 1);
-        // Transient underflow clamps to zero in the exposition.
-        m.dec_in_flight();
-        m.dec_in_flight();
-        assert_eq!(m.in_flight(), 0);
-    }
-
-    #[test]
-    fn advise_stage_histograms_render_per_stage() {
-        let m = Metrics::new();
-        m.record_advise_stage(AdviseStage::Cache, Duration::from_micros(30));
-        m.record_advise_stage(AdviseStage::Sweep, Duration::from_millis(6));
-        m.record_advise_stage(AdviseStage::Sweep, Duration::from_millis(8));
-        m.record_advise_stage(AdviseStage::Encode, Duration::from_micros(200));
-        m.record_advise_stage(AdviseStage::Shadow, Duration::from_micros(100));
-        assert_eq!(m.advise_stage_count(AdviseStage::Sweep), 2);
-        assert!((m.advise_stage_mean_seconds(AdviseStage::Shadow) - 1e-4).abs() < 1e-9);
-        assert!(m.advise_stage_mean_seconds(AdviseStage::Sweep) > 0.005);
-        let text = m.render();
-        assert!(
-            text.contains("chemcost_advise_stage_duration_seconds_count{stage=\"cache\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("chemcost_advise_stage_duration_seconds_count{stage=\"sweep\"} 2"),
-            "{text}"
-        );
-        assert!(
-            text.contains(
-                "chemcost_advise_stage_duration_seconds_bucket{stage=\"sweep\",le=\"+Inf\"} 2"
-            ),
-            "{text}"
-        );
-        assert!(
-            text.contains("chemcost_advise_stage_duration_seconds_count{stage=\"shadow\"} 1"),
-            "{text}"
-        );
-    }
-
-    #[test]
-    fn build_info_renders_version_sha_and_dirty() {
-        let text = Metrics::new().render();
-        assert!(
-            text.contains(&format!("chemcost_build_info{{version=\"{BUILD_VERSION}\",git_sha=")),
-            "{text}"
-        );
-        assert!(text.contains(&format!(",dirty=\"{BUILD_DIRTY}\"}} 1\n")), "{text}");
-        // The CLI and /v1/quality surface the identical triple.
-        let (version, sha, dirty) = build_info();
-        assert_eq!(version, BUILD_VERSION);
-        assert_eq!(sha, BUILD_GIT_SHA);
-        assert_eq!(dirty, BUILD_DIRTY);
-    }
-
-    #[test]
-    fn exposition_passes_its_own_linter() {
-        let m = Metrics::new();
-        m.record(Route::Advise, false, Duration::from_millis(3));
-        m.record_advise_stage(AdviseStage::Sweep, Duration::from_millis(2));
-        m.record_shed();
-        m.record_cache_miss();
-        lint_exposition(&m.render()).expect("fresh exposition must lint clean");
+        assert_eq!(m.shed.get(), 1);
+        assert_eq!((m.requests[Route::Other].get(), m.errors[Route::Other].get()), (1, 1));
+        assert_eq!(m.latency.count(), 3);
+        // Gauges: transient underflow reads as zero.
+        m.in_flight.inc();
+        m.in_flight.dec();
+        m.in_flight.dec();
+        assert_eq!(m.in_flight.get(), 0);
+        m.cache_entries.set(7);
+        assert_eq!(m.cache_entries.get(), 7);
+        // Size histograms bucket by count and sum plain rows.
+        m.record_batch_flush(FlushReason::Window, 7);
+        m.record_batch_flush(FlushReason::Window, 600);
+        assert_eq!(m.batch_flushes[FlushReason::Window].get(), 2);
+        assert_eq!((m.batch_size.sum(), m.batch_size.count()), (607, 2));
+        assert_eq!(m.batch_size.snapshot().0[3..].iter().sum::<u64>(), 2, "8 and +Inf buckets");
+        m.record_alert_transition(AlertState::Firing);
+        assert_eq!(m.alert_transitions[AlertState::Firing].get(), 1);
+        assert_eq!(RequestStage::BatchWait.field_key(), "batch_wait_us");
+        lint_exposition(&m.render()).expect("exposition must lint clean");
     }
 
     #[test]
@@ -2034,351 +1469,112 @@ mod tests {
         assert!(errs.iter().any(|e| e.contains("malformed labels")), "{errs:?}");
     }
 
-    /// Satellite (PR 4 bugfix): every family in [`REQUIRED_SERIES`] must
-    /// have sample lines on a *fresh* registry — before any request,
-    /// fault, or deadline event has incremented it. A scrape of a
-    /// just-started server must already show the whole catalog at zero.
+    /// Every family in [`REQUIRED_SERIES`] must have sample lines on a
+    /// *fresh* registry — before any request, fault, or deadline event
+    /// has incremented it (the exact bytes of that first scrape are
+    /// pinned by `tests/metrics_golden.rs`). Negative, table-driven: for
+    /// every family, stripping that family's sample lines while keeping
+    /// its `# HELP`/`# TYPE` metadata (the unregistered-until-first-
+    /// increment failure mode) must trip the required-series linter, for
+    /// that family alone.
     #[test]
-    fn all_required_series_render_before_first_increment() {
-        let m = Metrics::new();
-        // The router registers one quality group and one lifecycle group
-        // per registry entry at startup; a just-started server always has
-        // at least one of each.
-        m.set_model_quality("gb", 1, "aurora", QualityStats::default());
-        m.set_lifecycle_state("gb", "aurora", LifecycleState::Idle);
-        let text = m.render();
-        lint_exposition_with_required(&text, REQUIRED_SERIES)
+    fn required_linter_flags_each_missing_family() {
+        let full = registered().render();
+        lint_exposition_with_required(&full, REQUIRED_SERIES)
             .expect("fresh exposition must pre-register every required series");
-        // Spot-check the PR 4 families explicitly at zero.
-        assert!(text.contains("chemcost_deadline_exceeded_total{stage=\"queue\"} 0"), "{text}");
-        assert!(text.contains("chemcost_deadline_exceeded_total{stage=\"cache\"} 0"), "{text}");
-        assert!(text.contains("chemcost_deadline_exceeded_total{stage=\"sweep\"} 0"), "{text}");
-        assert!(text.contains("chemcost_model_staleness_seconds 0"), "{text}");
-        assert!(text.contains("chemcost_model_reload_failures_total 0"), "{text}");
-        assert!(text.contains("chemcost_advise_stale_served_total 0"), "{text}");
-        assert!(
-            text.contains("chemcost_faults_injected_total{kind=\"poison-reload\"} 0"),
-            "{text}"
-        );
-        // The PR 5 quality families: counters at zero, windowed gauges
-        // at NaN (no data yet — never a misleading zero).
-        assert!(text.contains("chemcost_quality_observations_total{outcome=\"accepted\"} 0"));
-        assert!(text.contains("chemcost_quality_observations_total{outcome=\"rejected\"} 0"));
-        let quality_labels = "model=\"gb\",version=\"1\",machine=\"aurora\"";
-        assert!(text.contains(&format!("chemcost_model_mape{{{quality_labels}}} NaN")), "{text}");
-        assert!(
-            text.contains(&format!(
-                "chemcost_residual_seconds{{{quality_labels},quantile=\"0.99\"}} NaN"
-            )),
-            "{text}"
-        );
-        assert!(text.contains(&format!("chemcost_model_degraded{{{quality_labels}}} 0")));
-        assert!(text.contains(&format!("chemcost_drift_trips_total{{{quality_labels}}} 0")));
-        // The PR 6 lifecycle families, all at their zero points.
-        assert!(text.contains(&format!("chemcost_quality_pool_size{{{quality_labels}}} 0")));
-        assert!(
-            text.contains(&format!("chemcost_quality_pool_evictions_total{{{quality_labels}}} 0"))
-        );
-        assert!(
-            text.contains("chemcost_lifecycle_state{model=\"gb\",machine=\"aurora\"} 0"),
-            "{text}"
-        );
-        assert!(
-            text.contains("chemcost_lifecycle_transitions_total{from=\"idle\",to=\"queued\"} 0"),
-            "{text}"
-        );
-        assert!(
-            text.contains(
-                "chemcost_lifecycle_transitions_total{from=\"shadow\",to=\"promoted\"} 0"
-            ),
-            "{text}"
-        );
-        assert!(text.contains("chemcost_lifecycle_queue_depth 0"), "{text}");
-        assert!(text.contains("chemcost_lifecycle_fit_duration_seconds_count 0"), "{text}");
-        for outcome in ["auto", "operator", "rejected", "rolled-back"] {
-            assert!(
-                text.contains(&format!(
-                    "chemcost_lifecycle_promotions_total{{outcome=\"{outcome}\"}} 0"
-                )),
-                "{outcome} missing: {text}"
-            );
+        for fam in FAMILIES {
+            let stripped: String = full
+                .lines()
+                .filter(|l| {
+                    let name = l.split(['{', ' ']).next().unwrap_or("");
+                    let family = ["_bucket", "_sum", "_count"]
+                        .iter()
+                        .find_map(|suffix| name.strip_suffix(suffix))
+                        .filter(|_| fam.kind == Kind::Histogram)
+                        .unwrap_or(name);
+                    l.starts_with('#') || family != fam.name
+                })
+                .map(|l| format!("{l}\n"))
+                .collect();
+            assert!(stripped.len() < full.len(), "{} has no sample lines", fam.name);
+            let errs = lint_exposition_with_required(&stripped, REQUIRED_SERIES).unwrap_err();
+            assert_eq!(errs.len(), 1, "only {} should be flagged: {errs:?}", fam.name);
+            assert!(errs[0].contains(fam.name) && errs[0].contains("no sample line"), "{errs:?}");
         }
-        // The health-plane families, pre-registered at zero.
-        for state in ["ok", "pending", "firing", "resolved"] {
-            assert!(
-                text.contains(&format!("chemcost_alerts_transitions_total{{to=\"{state}\"}} 0")),
-                "{state} missing: {text}"
-            );
-        }
-        assert!(text.contains("chemcost_alerts_firing 0"), "{text}");
-        assert!(text.contains("chemcost_alerts_pending 0"), "{text}");
-        assert!(text.contains("chemcost_slo_evaluations_total 0"), "{text}");
-        assert!(text.contains("chemcost_slo_breaching 0"), "{text}");
-        assert!(text.contains("chemcost_slo_scrapes_total 0"), "{text}");
-    }
-
-    #[test]
-    fn alert_recorders_update_their_families() {
-        let m = Metrics::new();
-        m.record_alert_transition("pending");
-        m.record_alert_transition("firing");
-        m.record_alert_transition("firing");
-        m.record_alert_transition("no-such-state"); // ignored, never panics
-        m.set_alert_gauges(1, 2);
-        m.record_slo_scrape(6, 1);
-        m.record_slo_scrape(6, 0);
-        assert_eq!(m.alert_transitions("firing"), 2);
-        assert_eq!(m.alert_transitions("pending"), 1);
-        assert_eq!(m.alert_transitions("resolved"), 0);
-        assert_eq!(m.alerts_firing(), 1);
-        assert_eq!(m.alerts_pending(), 2);
-        assert_eq!(m.slo_scrapes(), 2);
-        assert_eq!(m.slo_evaluations(), 12);
-        assert_eq!(m.slo_breaching(), 0, "gauge tracks the latest scrape");
-        let text = m.render();
-        assert!(text.contains("chemcost_alerts_transitions_total{to=\"firing\"} 2"), "{text}");
-        assert!(text.contains("chemcost_alerts_firing 1"), "{text}");
-        assert!(text.contains("chemcost_slo_scrapes_total 2"), "{text}");
-    }
-
-    #[test]
-    fn histogram_snapshot_is_internally_consistent() {
-        let m = Metrics::new();
-        for i in 0..50 {
-            m.record(Route::Advise, false, Duration::from_micros(i * 997));
-        }
-        let (buckets, sum, count) = {
-            let snap = m.latency_snapshot();
-            (snap.0, snap.1, snap.2)
-        };
-        assert_eq!(count, 50);
-        assert!(sum > 0);
-        assert_eq!(buckets.iter().sum::<u64>(), 50, "every observation lands in one bucket");
-        assert_eq!(buckets.len(), Metrics::histogram_bounds().len() + 1, "+Inf bucket");
-    }
-
-    /// Negative: without a registered quality group the per-model
-    /// families have metadata but no sample lines, and the required
-    /// linter must say so — this is exactly the regression the router's
-    /// startup pre-registration guards against.
-    #[test]
-    fn required_linter_flags_unregistered_quality_groups() {
-        let errs =
-            lint_exposition_with_required(&Metrics::new().render(), REQUIRED_SERIES).unwrap_err();
-        for family in
-            ["chemcost_model_mape", "chemcost_residual_seconds", "chemcost_drift_trips_total"]
-        {
-            assert!(
-                errs.iter().any(|e| e.contains(family) && e.contains("no sample line")),
-                "{family} should be flagged: {errs:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn quality_gauges_render_and_upsert_by_group() {
-        let m = Metrics::new();
-        m.set_model_quality("gb", 1, "aurora", QualityStats::default());
-        let stats = QualityStats {
-            observations: 12,
-            window: 12,
-            mape: 0.08,
-            bias_seconds: -1.5,
-            residual_p50: 2.0,
-            residual_p90: 6.0,
-            residual_p99: 9.0,
-            calibration_ratio: 0.7,
-            drift_trips: 1,
-            degraded: true,
-            pool_size: 12,
-            pool_evictions: 4,
-        };
-        // Same triple: upsert, not a second series.
-        m.set_model_quality("gb", 1, "aurora", stats);
-        // New version after a reload: its own labelled series.
-        m.set_model_quality("gb", 2, "aurora", QualityStats::default());
-        assert_eq!(m.quality_entries().len(), 2);
-        m.record_quality_observation(true);
-        m.record_quality_observation(false);
-        m.record_quality_observation(true);
-        assert_eq!(m.quality_accepted(), 2);
-        assert_eq!(m.quality_rejected(), 1);
-        m.set_lifecycle_state("gb", "aurora", LifecycleState::Idle);
-        let text = m.render();
-        let v1 = "model=\"gb\",version=\"1\",machine=\"aurora\"";
-        assert!(text.contains(&format!("chemcost_model_mape{{{v1}}} 0.08")), "{text}");
-        assert!(text.contains(&format!("chemcost_model_bias_seconds{{{v1}}} -1.5")), "{text}");
-        assert!(
-            text.contains(&format!("chemcost_residual_seconds{{{v1},quantile=\"0.9\"}} 6")),
-            "{text}"
-        );
-        assert!(text.contains(&format!("chemcost_calibration_ratio{{{v1}}} 0.7")), "{text}");
-        assert!(text.contains(&format!("chemcost_model_degraded{{{v1}}} 1")), "{text}");
-        assert!(text.contains(&format!("chemcost_drift_trips_total{{{v1}}} 1")), "{text}");
-        assert!(
-            text.contains("chemcost_model_mape{model=\"gb\",version=\"2\",machine=\"aurora\"} NaN"),
-            "{text}"
-        );
-        assert!(text.contains("chemcost_quality_observations_total{outcome=\"accepted\"} 2"));
-        lint_exposition_with_required(&text, REQUIRED_SERIES).expect("lint clean");
-    }
-
-    /// Negative: the required-series linter must flag a family whose
-    /// sample lines are absent, even if its `# HELP`/`# TYPE` metadata
-    /// is present (the unregistered-until-first-increment failure mode).
-    #[test]
-    fn required_linter_flags_missing_sample_lines() {
-        let full = Metrics::new().render();
-        let stripped: String = full
-            .lines()
-            .filter(|l| !l.starts_with("chemcost_deadline_exceeded_total"))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let errs = lint_exposition_with_required(&stripped, REQUIRED_SERIES).unwrap_err();
-        assert!(
-            errs.iter()
-                .any(|e| e.contains("chemcost_deadline_exceeded_total")
-                    && e.contains("no sample line")),
-            "{errs:?}"
-        );
-        // Histogram families are satisfied through their suffixed series.
-        lint_exposition_with_required(&full, &["chemcost_request_duration_seconds"])
-            .expect("histogram counted via _bucket/_sum/_count");
         // A family that never existed is reported too.
         let errs =
             lint_exposition_with_required(&full, &["chemcost_nonexistent_total"]).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("chemcost_nonexistent_total")), "{errs:?}");
     }
 
+    /// Negative: without a registered quality group the per-model
+    /// families have metadata but no sample lines, and the required
+    /// linter must say so — this is exactly the regression the router's
+    /// startup pre-registration guards against. The same holds for an
+    /// unregistered lifecycle group.
     #[test]
-    fn lifecycle_series_render_and_upsert_by_group() {
-        let m = Metrics::new();
-        m.set_lifecycle_state("gb", "aurora", LifecycleState::Idle);
+    fn required_linter_flags_unregistered_quality_groups() {
+        let errs =
+            lint_exposition_with_required(&Metrics::new().render(), REQUIRED_SERIES).unwrap_err();
+        for family in [
+            "chemcost_model_mape",
+            "chemcost_residual_seconds",
+            "chemcost_drift_trips_total",
+            "chemcost_lifecycle_state",
+        ] {
+            assert!(
+                errs.iter().any(|e| e.contains(family) && e.contains("no sample line")),
+                "{family} should be flagged: {errs:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn quality_and_lifecycle_groups_upsert() {
+        let m = registered();
+        let stats = QualityStats { mape: 0.08, degraded: true, ..QualityStats::default() };
+        // Same triple: upsert, not a second series.
+        m.set_model_quality("gb", 1, "aurora", stats);
+        // New version after a reload: its own labelled series.
+        m.set_model_quality("gb", 2, "aurora", QualityStats::default());
+        let entries = m.quality_entries();
+        assert_eq!(entries.len(), 2);
+        assert_eq!(entries[0].stats.mape, 0.08);
         // Same (model, machine): upsert, not a second series.
         m.set_lifecycle_state("gb", "aurora", LifecycleState::Shadow);
         m.set_lifecycle_state("gb2", "frontier", LifecycleState::Idle);
-        assert_eq!(m.lifecycle_entries().len(), 2);
-        m.record_lifecycle_transition(LifecycleState::Idle, LifecycleState::Queued);
-        m.record_lifecycle_transition(LifecycleState::Queued, LifecycleState::Training);
-        m.record_lifecycle_transition(LifecycleState::Queued, LifecycleState::Training);
-        // Invalid pairs are ignored, never counted under a wrong label.
-        m.record_lifecycle_transition(LifecycleState::Idle, LifecycleState::Promoted);
-        assert_eq!(m.lifecycle_transitions(LifecycleState::Queued, LifecycleState::Training), 2);
-        assert_eq!(m.lifecycle_transitions(LifecycleState::Idle, LifecycleState::Promoted), 0);
-        m.set_lifecycle_queue_depth(3);
-        assert_eq!(m.lifecycle_queue_depth(), 3);
-        m.record_lifecycle_fit_duration(Duration::from_millis(40));
-        assert_eq!(m.lifecycle_fits(), 1);
-        m.record_lifecycle_promotion(PromotionOutcome::Auto);
-        m.record_lifecycle_promotion(PromotionOutcome::Rejected);
-        m.record_lifecycle_promotion(PromotionOutcome::Rejected);
-        assert_eq!(m.lifecycle_promotions(PromotionOutcome::Auto), 1);
-        assert_eq!(m.lifecycle_promotions(PromotionOutcome::Rejected), 2);
-        assert_eq!(m.lifecycle_promotions(PromotionOutcome::RolledBack), 0);
+        let groups = m.lifecycle.read();
+        assert_eq!(groups.len(), 2);
+        assert_eq!(groups[0].state, LifecycleState::Shadow);
+        drop(groups);
         let text = m.render();
-        assert!(
-            text.contains("chemcost_lifecycle_state{model=\"gb\",machine=\"aurora\"} 3"),
-            "{text}"
-        );
-        assert!(
-            text.contains("chemcost_lifecycle_state{model=\"gb2\",machine=\"frontier\"} 0"),
-            "{text}"
-        );
-        assert!(
-            text.contains(
-                "chemcost_lifecycle_transitions_total{from=\"queued\",to=\"training\"} 2"
-            ),
-            "{text}"
-        );
-        assert!(text.contains("chemcost_lifecycle_queue_depth 3"), "{text}");
-        assert!(text.contains("chemcost_lifecycle_fit_duration_seconds_count 1"), "{text}");
-        assert!(
-            text.contains("chemcost_lifecycle_promotions_total{outcome=\"rejected\"} 2"),
-            "{text}"
-        );
-        lint_exposition(&text).expect("lifecycle exposition must lint clean");
+        assert!(text
+            .contains("chemcost_model_degraded{model=\"gb\",version=\"1\",machine=\"aurora\"} 1"));
+        assert!(text.contains("chemcost_lifecycle_state{model=\"gb\",machine=\"aurora\"} 3"));
+        lint_exposition_with_required(&text, REQUIRED_SERIES).expect("lint clean");
     }
 
-    /// The observer bridge forwards every hub callback into the registry.
+    /// The observer bridge forwards every hub callback into the
+    /// registry; transitions outside [`TRANSITIONS`] are never counted
+    /// under a wrong label.
     #[test]
     fn lifecycle_bridge_forwards_observer_callbacks() {
         let m = Arc::new(Metrics::new());
         let bridge = LifecycleMetricsBridge(Arc::clone(&m));
         bridge.on_state("gb", "aurora", LifecycleState::Training);
         bridge.on_transition(LifecycleState::Queued, LifecycleState::Training);
+        bridge.on_transition(LifecycleState::Idle, LifecycleState::Promoted); // invalid
         bridge.on_queue_depth(2);
         bridge.on_fit_duration(0.25);
         bridge.on_promotion(PromotionOutcome::Operator);
-        assert_eq!(m.lifecycle_entries()[0].state, LifecycleState::Training);
-        assert_eq!(m.lifecycle_transitions(LifecycleState::Queued, LifecycleState::Training), 1);
-        assert_eq!(m.lifecycle_queue_depth(), 2);
-        assert_eq!(m.lifecycle_fits(), 1);
-        assert_eq!(m.lifecycle_promotions(PromotionOutcome::Operator), 1);
-    }
-
-    /// Negative (satellite): stripping any lifecycle family's sample lines
-    /// must trip the required-series linter, exactly like the quality
-    /// families — pre-registration is load-bearing for all of them.
-    #[test]
-    fn required_linter_flags_missing_lifecycle_series() {
-        let m = Metrics::new();
-        m.set_model_quality("gb", 1, "aurora", QualityStats::default());
-        m.set_lifecycle_state("gb", "aurora", LifecycleState::Idle);
-        let full = m.render();
-        lint_exposition_with_required(&full, REQUIRED_SERIES).expect("full exposition is complete");
-        for family in [
-            "chemcost_lifecycle_state",
-            "chemcost_lifecycle_transitions_total",
-            "chemcost_lifecycle_queue_depth",
-            "chemcost_lifecycle_fit_duration_seconds",
-            "chemcost_lifecycle_promotions_total",
-            "chemcost_quality_pool_size",
-            "chemcost_quality_pool_evictions_total",
-        ] {
-            let stripped: String = full
-                .lines()
-                .filter(|l| {
-                    l.starts_with('#')
-                        || !l.split(['{', ' ']).next().unwrap_or("").starts_with(family)
-                })
-                .map(|l| format!("{l}\n"))
-                .collect();
-            let errs = lint_exposition_with_required(&stripped, REQUIRED_SERIES).unwrap_err();
-            assert!(
-                errs.iter().any(|e| e.contains(family) && e.contains("no sample line")),
-                "{family} should be flagged: {errs:?}"
-            );
-        }
-        // A lifecycle group that never registers is caught the same way.
-        let errs =
-            lint_exposition_with_required(&Metrics::new().render(), REQUIRED_SERIES).unwrap_err();
-        assert!(
-            errs.iter()
-                .any(|e| e.contains("chemcost_lifecycle_state") && e.contains("no sample line")),
-            "{errs:?}"
-        );
-    }
-
-    #[test]
-    fn deadline_and_fault_counters_track_per_label() {
-        let m = Metrics::new();
-        m.record_deadline_exceeded(DeadlineStage::Queue);
-        m.record_deadline_exceeded(DeadlineStage::Sweep);
-        m.record_deadline_exceeded(DeadlineStage::Sweep);
-        assert_eq!(m.deadline_exceeded(DeadlineStage::Queue), 1);
-        assert_eq!(m.deadline_exceeded(DeadlineStage::Cache), 0);
-        assert_eq!(m.deadline_exceeded(DeadlineStage::Sweep), 2);
-        m.record_fault(FaultKind::SlowIo);
-        m.record_fault(FaultKind::PoisonReload);
-        m.record_fault(FaultKind::PoisonReload);
-        assert_eq!(m.faults_injected(FaultKind::SlowIo), 1);
-        assert_eq!(m.faults_injected(FaultKind::PoisonReload), 2);
-        m.set_model_quality("gb", 1, "aurora", QualityStats::default());
-        m.set_lifecycle_state("gb", "aurora", LifecycleState::Idle);
-        let text = m.render();
-        assert!(text.contains("chemcost_deadline_exceeded_total{stage=\"sweep\"} 2"), "{text}");
-        assert!(text.contains("chemcost_faults_injected_total{kind=\"slow-io\"} 1"), "{text}");
-        lint_exposition_with_required(&text, REQUIRED_SERIES).expect("lint clean");
+        assert_eq!(m.lifecycle.read()[0].state, LifecycleState::Training);
+        assert_eq!(m.lifecycle_transitions.iter().map(Counter::get).sum::<u64>(), 1);
+        assert!(m
+            .render()
+            .contains("chemcost_lifecycle_transitions_total{from=\"queued\",to=\"training\"} 1"));
+        assert_eq!(m.lifecycle_queue_depth.get(), 2);
+        assert_eq!(m.lifecycle_fit_duration.count(), 1);
+        assert_eq!(m.lifecycle_promotions[PromotionOutcome::Operator].get(), 1);
     }
 
     #[test]
@@ -2387,7 +1583,7 @@ mod tests {
         // Fresh registry: never failed, staleness pinned to zero.
         assert_eq!(m.model_staleness_seconds(), 0.0);
         m.record_reload_failure();
-        assert_eq!(m.reload_failures(), 1);
+        assert_eq!(m.reload_failures.get(), 1);
         std::thread::sleep(Duration::from_millis(5));
         let stale = m.model_staleness_seconds();
         assert!(stale > 0.0, "staleness should accrue after a failed reload, got {stale}");
@@ -2408,182 +1604,11 @@ mod tests {
         assert!(!m.shed_within(Duration::ZERO), "zero window excludes the past");
     }
 
-    #[test]
-    fn stale_served_counter_renders() {
-        let m = Metrics::new();
-        m.record_stale_served();
-        assert_eq!(m.stale_served(), 1);
-        assert!(m.render().contains("chemcost_advise_stale_served_total 1"));
-    }
-
-    /// Satellite: the serving-data-plane families render with labels and
-    /// correct accounting.
-    #[test]
-    fn serving_series_render_and_count() {
-        let m = Metrics::new();
-        m.inc_connections_open();
-        m.inc_connections_open();
-        m.dec_connections_open();
-        assert_eq!(m.connections_open(), 1);
-        m.record_keepalive_reuse();
-        m.record_keepalive_reuse();
-        m.record_keepalive_reuse();
-        assert_eq!(m.keepalive_reuses(), 3);
-        m.record_batch_flush(FlushReason::Drain, 2);
-        m.record_batch_flush(FlushReason::Window, 7);
-        m.record_batch_flush(FlushReason::Window, 600);
-        assert_eq!(m.batch_flushes(FlushReason::Drain), 1);
-        assert_eq!(m.batch_flushes(FlushReason::Window), 2);
-        assert_eq!(m.batch_flushes(FlushReason::Full), 0);
-        assert_eq!(m.batch_calls(), 3);
-        assert_eq!(m.batch_rows(), 609);
-        let text = m.render();
-        assert!(text.contains("chemcost_connections_open 1"), "{text}");
-        assert!(text.contains("chemcost_keepalive_reuses_total 3"), "{text}");
-        assert!(text.contains("chemcost_batch_flush_total{reason=\"drain\"} 1"), "{text}");
-        assert!(text.contains("chemcost_batch_flush_total{reason=\"window\"} 2"), "{text}");
-        assert!(text.contains("chemcost_batch_flush_total{reason=\"shutdown\"} 0"), "{text}");
-        assert!(text.contains("chemcost_batch_size_bucket{le=\"2\"} 1"), "{text}");
-        assert!(text.contains("chemcost_batch_size_bucket{le=\"8\"} 2"), "{text}");
-        assert!(text.contains("chemcost_batch_size_bucket{le=\"+Inf\"} 3"), "{text}");
-        assert!(text.contains("chemcost_batch_size_sum 609"), "{text}");
-        assert!(text.contains("chemcost_batch_size_count 3"), "{text}");
-        lint_exposition(&text).expect("serving exposition must lint clean");
-    }
-
-    /// Negative (satellite): stripping any serving-data-plane family's
-    /// sample lines must trip the required-series linter — the event
-    /// loop and batcher series are pre-registered like every other.
-    #[test]
-    fn required_linter_flags_missing_serving_series() {
-        let m = Metrics::new();
-        m.set_model_quality("gb", 1, "aurora", QualityStats::default());
-        m.set_lifecycle_state("gb", "aurora", LifecycleState::Idle);
-        let full = m.render();
-        lint_exposition_with_required(&full, REQUIRED_SERIES).expect("full exposition is complete");
-        for family in [
-            "chemcost_connections_open",
-            "chemcost_batch_size",
-            "chemcost_batch_flush_total",
-            "chemcost_keepalive_reuses_total",
-        ] {
-            let stripped: String = full
-                .lines()
-                .filter(|l| {
-                    l.starts_with('#')
-                        || !l.split(['{', ' ']).next().unwrap_or("").starts_with(family)
-                })
-                .map(|l| format!("{l}\n"))
-                .collect();
-            let errs = lint_exposition_with_required(&stripped, REQUIRED_SERIES).unwrap_err();
-            assert!(
-                errs.iter().any(|e| e.contains(family) && e.contains("no sample line")),
-                "{family} should be flagged: {errs:?}"
-            );
-        }
-    }
-
-    /// Tentpole (PR 8): the request-timeline stage histograms and the
-    /// event-loop health series render with labels, count correctly, and
-    /// lint clean.
-    #[test]
-    fn timeline_series_render_and_count() {
-        let m = Metrics::new();
-        m.record_request_stage(RequestStage::Read, Duration::from_micros(40));
-        m.record_request_stage(RequestStage::Queue, Duration::from_micros(90));
-        m.record_request_stage(RequestStage::BatchWait, Duration::from_micros(210));
-        m.record_request_stage(RequestStage::Handler, Duration::from_micros(800));
-        m.record_request_stage(RequestStage::Handler, Duration::from_micros(700));
-        m.record_request_stage(RequestStage::Reorder, Duration::from_micros(5));
-        m.record_request_stage(RequestStage::Write, Duration::from_micros(60));
-        assert_eq!(m.request_stage_count(RequestStage::Handler), 2);
-        assert_eq!(m.request_stage_count(RequestStage::Write), 1);
-        assert!((m.request_stage_sum_seconds(RequestStage::BatchWait) - 210e-6).abs() < 1e-12);
-        m.record_loop_iteration(Duration::from_micros(120), 3);
-        m.record_loop_iteration(Duration::from_micros(80), 0);
-        assert_eq!(m.loop_iterations(), 2);
-        m.inc_read_paused();
-        m.inc_write_stalled();
-        m.inc_write_stalled();
-        m.dec_write_stalled();
-        assert_eq!(m.read_paused(), 1);
-        assert_eq!(m.write_stalled(), 1);
-        let text = m.render();
-        assert!(
-            text.contains("chemcost_request_stage_duration_seconds_count{stage=\"handler\"} 2"),
-            "{text}"
-        );
-        assert!(
-            text.contains("chemcost_request_stage_duration_seconds_count{stage=\"batch_wait\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains(
-                "chemcost_request_stage_duration_seconds_bucket{stage=\"read\",le=\"+Inf\"} 1"
-            ),
-            "{text}"
-        );
-        assert!(text.contains("chemcost_event_loop_iteration_duration_seconds_count 2"), "{text}");
-        assert!(text.contains("chemcost_event_loop_events_per_wake_count 2"), "{text}");
-        assert!(text.contains("chemcost_event_loop_events_per_wake_sum 3"), "{text}");
-        assert!(text.contains("chemcost_connections_read_paused 1"), "{text}");
-        assert!(text.contains("chemcost_connections_write_stalled 1"), "{text}");
-        lint_exposition(&text).expect("timeline exposition must lint clean");
-        // Every stage label renders even before its first observation.
-        let fresh = Metrics::new().render();
-        for stage in RequestStage::ALL {
-            assert!(
-                fresh.contains(&format!(
-                    "chemcost_request_stage_duration_seconds_count{{stage=\"{}\"}} 0",
-                    stage.label()
-                )),
-                "stage {} not pre-registered: {fresh}",
-                stage.label()
-            );
-        }
-        // The /debug/requests route is accounted like any other.
-        m.record(Route::Debug, false, Duration::from_micros(30));
-        assert!(m.render().contains("chemcost_requests_total{route=\"debug\"} 1"));
-    }
-
-    /// Negative (satellite): stripping any PR 8 timeline/event-loop
-    /// family's sample lines must trip the required-series linter.
-    #[test]
-    fn required_linter_flags_missing_timeline_series() {
-        let m = Metrics::new();
-        m.set_model_quality("gb", 1, "aurora", QualityStats::default());
-        m.set_lifecycle_state("gb", "aurora", LifecycleState::Idle);
-        let full = m.render();
-        lint_exposition_with_required(&full, REQUIRED_SERIES).expect("full exposition is complete");
-        for family in [
-            "chemcost_request_stage_duration_seconds",
-            "chemcost_event_loop_iteration_duration_seconds",
-            "chemcost_event_loop_events_per_wake",
-            "chemcost_connections_read_paused",
-            "chemcost_connections_write_stalled",
-        ] {
-            let stripped: String = full
-                .lines()
-                .filter(|l| {
-                    l.starts_with('#')
-                        || !l.split(['{', ' ']).next().unwrap_or("").starts_with(family)
-                })
-                .map(|l| format!("{l}\n"))
-                .collect();
-            let errs = lint_exposition_with_required(&stripped, REQUIRED_SERIES).unwrap_err();
-            assert!(
-                errs.iter().any(|e| e.contains(family) && e.contains("no sample line")),
-                "{family} should be flagged: {errs:?}"
-            );
-        }
-    }
-
-    /// Satellite: N writer threads hammer every counter family while the
-    /// main thread renders mid-flight; every intermediate exposition must
-    /// stay well-formed, and the final counts must add up.
+    /// N writer threads hammer the counter and histogram families while
+    /// the main thread renders mid-flight; every intermediate exposition
+    /// must stay well-formed, and the final counts must add up.
     #[test]
     fn concurrent_writers_keep_render_well_formed() {
-        use std::sync::Arc;
         let m = Arc::new(Metrics::new());
         let writers = 8;
         let per_thread = 500;
@@ -2593,17 +1618,17 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..per_thread {
                         let route = Route::ALL[(t + i) % Route::ALL.len()];
-                        m.inc_in_flight();
-                        m.pool_enqueued();
+                        m.in_flight.inc();
+                        m.pool_queue_depth.inc();
                         m.record(route, i % 3 == 0, Duration::from_micros((i * 37) as u64));
                         let stage = AdviseStage::ALL[i % 3];
-                        m.record_advise_stage(stage, Duration::from_micros((i * 11) as u64));
+                        m.advise_stages[stage].observe(Duration::from_micros((i * 11) as u64));
                         if i % 5 == 0 {
                             m.record_shed();
                         }
-                        m.record_cache_miss();
-                        m.pool_dequeued();
-                        m.dec_in_flight();
+                        m.cache_misses.inc();
+                        m.pool_queue_depth.dec();
+                        m.in_flight.dec();
                     }
                 })
             })
@@ -2619,15 +1644,15 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let total: u64 = Route::ALL.iter().map(|&r| m.requests(r)).sum();
+        let total: u64 = m.requests.iter().map(ShardedCounter::get).sum();
         let expected = (writers * per_thread) as u64;
         // record() calls + record_shed() calls (every 5th iteration).
         assert_eq!(total, expected + expected / 5);
-        assert_eq!(m.cache_misses(), expected);
-        assert_eq!(m.shed_total(), expected / 5);
-        assert_eq!(m.in_flight(), 0);
-        assert_eq!(m.pool_queue_depth(), 0);
-        let stage_total: u64 = AdviseStage::ALL.iter().map(|&s| m.advise_stage_count(s)).sum();
+        assert_eq!(m.cache_misses.get(), expected);
+        assert_eq!(m.shed.get(), expected / 5);
+        assert_eq!(m.in_flight.get(), 0);
+        assert_eq!(m.pool_queue_depth.get(), 0);
+        let stage_total: u64 = m.advise_stages.iter().map(Histogram::count).sum();
         assert_eq!(stage_total, expected);
         lint_exposition(&m.render()).expect("final exposition must lint clean");
     }

@@ -20,7 +20,7 @@ use crate::cache::{AdviseCache, AdviseKeyRef, CachedRec};
 use crate::http::{Body, Request, Response};
 use crate::json::{self, Json, Scanner};
 use crate::metrics::{
-    build_info, AdviseStage, DeadlineStage, LifecycleMetricsBridge, Metrics, Route,
+    build_info, AdviseStage, DeadlineStage, LifecycleMetricsBridge, Metrics, QualityOutcome, Route,
 };
 use crate::quality::{ObserveError, ObserveOutcome, QualityHub};
 use crate::registry::{ModelRegistry, ResolvedModel};
@@ -324,14 +324,14 @@ impl Router {
                 remaining_ms = d.remaining_ms(),
             );
         }
-        self.metrics.inc_in_flight();
+        self.metrics.in_flight.inc();
         let (route, mut response) = self.dispatch(req, deadline);
-        self.metrics.dec_in_flight();
-        // Two clocks (satellite of PR 8): `handler` is pure handler
-        // time (the per-route latency histograms keep their meaning),
-        // while the access log and the slow-request warning measure
-        // from `arrived` — the deadline anchor — so queue and batch
-        // wait count toward them. `max` guards callers passing a future
+        self.metrics.in_flight.dec();
+        // Two clocks: `handler` is pure handler time (the one latency
+        // histogram, unlabelled and shared by every route, keeps its
+        // meaning), while the access log and the slow-request warning
+        // measure from `arrived` — the deadline anchor — so queue and
+        // batch wait count toward them. `max` guards callers passing a future
         // `arrived` (never the event loop, but `Instant` math panics).
         let handler = started.elapsed();
         let total = arrived.elapsed().max(handler);
@@ -492,7 +492,7 @@ impl Router {
                 // demotion keeps the dead version's answers around as
                 // last-resort overload fallbacks instead of dropping them.
                 let demoted = self.cache.demote_model(name, version);
-                self.metrics.set_cache_entries(self.cache.len());
+                self.metrics.cache_entries.set(self.cache.len());
                 self.metrics.mark_model_fresh();
                 // Track the new generation's quality from its first answer,
                 // and flush buffered obs lines so the reload marker reaches
@@ -609,11 +609,11 @@ impl Router {
             None => resolved.flat.predict_batch(&x),
         };
         // Direct-write the response: byte-identical to encoding a Json
-        // tree (write_num/write_escaped are the tree encoder's own
+        // tree (write_num/write_json_string are the tree encoder's own
         // writers) without allocating per-row objects.
         let mut out = String::with_capacity(64 + resolved.name.len() + seconds.len() * 48);
         out.push_str("{\"model\":");
-        json::write_escaped(&resolved.name, &mut out);
+        chemcost_obs::write_json_string(&mut out, &resolved.name);
         out.push_str(",\"model_version\":");
         json::write_num(resolved.version as f64, &mut out);
         out.push_str(",\"predictions\":[");
@@ -633,13 +633,13 @@ impl Router {
 
     /// 504 for `stage`, recording the counter and an obs event.
     fn deadline_504(&self, stage: DeadlineStage, d: Deadline) -> Response {
-        self.metrics.record_deadline_exceeded(stage);
+        self.metrics.deadline_exceeded[stage].inc();
         obs::event!(
             Level::Warn,
             "http.deadline_exceeded",
             stage = stage.label(),
             budget_ms = d.budget_ms(),
-            exceeded_total = self.metrics.deadline_exceeded(stage),
+            exceeded_total = self.metrics.deadline_exceeded[stage].get(),
         );
         Response::json(
             504,
@@ -727,10 +727,10 @@ impl Router {
         };
         let cached = self.cache.get(&key);
         let hit = cached.is_some();
-        self.metrics.record_advise_stage(AdviseStage::Cache, cache_started.elapsed());
+        self.metrics.advise_stages[AdviseStage::Cache].observe(cache_started.elapsed());
         obs::event!(Level::Debug, "advise.cache", hit = hit, o = o, v = v, goal = goal);
         if let Some((cached, rec)) = cached {
-            self.metrics.record_cache_hit();
+            self.metrics.cache_hits.inc();
             let mut resp = Response::json(200, cached);
             // A replayed answer is a fresh prediction as far as the quality
             // loop is concerned: each round trip gets its own id, so the
@@ -746,7 +746,7 @@ impl Router {
             );
             return resp;
         }
-        self.metrics.record_cache_miss();
+        self.metrics.cache_misses.inc();
 
         // Serve-stale-on-overload: while the pool is shedding, an answer
         // computed by a previous model version beats burning a sweep. The
@@ -754,7 +754,7 @@ impl Router {
         // `model_version` so the client can tell what it got.
         if self.metrics.shed_within(STALE_SERVE_WINDOW) {
             if let Some((stale_body, stale_version, stale_rec)) = self.cache.get_stale(&key) {
-                self.metrics.record_stale_served();
+                self.metrics.stale_served.inc();
                 obs::event!(
                     Level::Warn,
                     "advise.stale",
@@ -818,7 +818,7 @@ impl Router {
                 None => advisor.sweep(o, v),
             }
         };
-        self.metrics.record_advise_stage(AdviseStage::Sweep, sweep_started.elapsed());
+        self.metrics.advise_stages[AdviseStage::Sweep].observe(sweep_started.elapsed());
 
         let encode_started = Instant::now();
         let mut fields: Vec<(&'static str, Json)> = vec![
@@ -863,8 +863,8 @@ impl Router {
         let rendered: Arc<str> = Json::obj(fields).encode().into();
         let rec = primary.map(|r| (r.nodes, r.tile, r.predicted_seconds));
         self.cache.insert(key.to_owned_key(), Arc::clone(&rendered), rec);
-        self.metrics.set_cache_entries(self.cache.len());
-        self.metrics.record_advise_stage(AdviseStage::Encode, encode_started.elapsed());
+        self.metrics.cache_entries.set(self.cache.len());
+        self.metrics.advise_stages[AdviseStage::Encode].observe(encode_started.elapsed());
         let mut resp = Response::json(200, rendered);
         self.journal_prediction(
             &mut resp,
@@ -903,7 +903,7 @@ impl Router {
                 machine,
                 &[o as f64, v as f64, nodes as f64, tile as f64],
             );
-            self.metrics.record_advise_stage(AdviseStage::Shadow, shadow_started.elapsed());
+            self.metrics.advise_stages[AdviseStage::Shadow].observe(shadow_started.elapsed());
             let id = self.quality.record_prediction_with_shadow(
                 model,
                 version,
@@ -924,13 +924,13 @@ impl Router {
     /// rolling statistics.
     fn observe(&self, body: &[u8]) -> Response {
         let reject = |metrics: &Metrics, status: u16, msg: &str| {
-            metrics.record_quality_observation(false);
+            metrics.quality_observations[QualityOutcome::Rejected].inc();
             error(status, msg)
         };
         let parsed = match parse_body(body) {
             Ok(v) => v,
             Err(resp) => {
-                self.metrics.record_quality_observation(false);
+                self.metrics.quality_observations[QualityOutcome::Rejected].inc();
                 return resp;
             }
         };
@@ -963,7 +963,7 @@ impl Router {
         };
         match self.quality.observe(id, measured) {
             Ok(out) => {
-                self.metrics.record_quality_observation(true);
+                self.metrics.quality_observations[QualityOutcome::Accepted].inc();
                 // Every accepted measurement drives the lifecycle loop:
                 // shadow windows fill, retrain triggers fire, and shadow
                 // candidates are judged — all before the response leaves.
@@ -1046,8 +1046,20 @@ impl Router {
                 (
                     "observations",
                     Json::obj([
-                        ("accepted", Json::Num(self.metrics.quality_accepted() as f64)),
-                        ("rejected", Json::Num(self.metrics.quality_rejected() as f64)),
+                        (
+                            "accepted",
+                            Json::Num(
+                                self.metrics.quality_observations[QualityOutcome::Accepted].get()
+                                    as f64,
+                            ),
+                        ),
+                        (
+                            "rejected",
+                            Json::Num(
+                                self.metrics.quality_observations[QualityOutcome::Rejected].get()
+                                    as f64,
+                            ),
+                        ),
                     ]),
                 ),
                 ("groups", Json::Arr(groups)),
@@ -1187,7 +1199,7 @@ impl Router {
         } = ticket;
         let version = self.registry.promote(&model, candidate)?;
         let demoted = self.cache.demote_model(&model, version);
-        self.metrics.set_cache_entries(self.cache.len());
+        self.metrics.cache_entries.set(self.cache.len());
         self.metrics.mark_model_fresh();
         self.quality.register_group(&model, version, &machine);
         // Best-effort durability for file-backed models: write the promoted
@@ -1363,7 +1375,7 @@ impl Router {
             );
         }
         let demoted = self.cache.demote_model(&model, version);
-        self.metrics.set_cache_entries(self.cache.len());
+        self.metrics.cache_entries.set(self.cache.len());
         self.metrics.mark_model_fresh();
         self.quality.register_group(&model, version, &machine);
         obs::event!(

@@ -145,16 +145,16 @@ fn warm_hot_paths_do_not_allocate() {
 
     // --- component: sharded metrics counters -------------------------
     let metrics = Metrics::new();
-    metrics.record_cache_hit(); // warm this thread's stripe assignment
-    metrics.record_keepalive_reuse();
+    metrics.cache_hits.inc(); // warm this thread's stripe assignment
+    metrics.keepalive_reuses.inc();
     let n = allocations_in(|| {
         for _ in 0..100 {
-            metrics.record_cache_hit();
-            metrics.record_keepalive_reuse();
+            metrics.cache_hits.inc();
+            metrics.keepalive_reuses.inc();
         }
     });
     assert_eq!(n, 0, "sharded counters allocated {n} times per 200 increments");
-    assert_eq!(metrics.cache_hits(), 101);
+    assert_eq!(metrics.cache_hits.get(), 101);
 
     // --- component: response encode into a reused buffer -------------
     let response = Response::text(200, "ok");

@@ -13,7 +13,7 @@
 //! * the paired connection-state gauges return to zero after a
 //!   keep-alive soak drains through forced close-on-shutdown.
 
-use chemcost_health::{HealthConfig, Ring, Signal, SloSpec};
+use chemcost_health::{AlertState, HealthConfig, Ring, Signal, SloSpec};
 use chemcost_linalg::Matrix;
 use chemcost_ml::gradient_boosting::GradientBoosting;
 use chemcost_ml::Regressor;
@@ -157,10 +157,16 @@ fn chaos_soak_walks_the_full_alert_lifecycle_with_correlated_signals() {
 
     // -- the transitions are counted in the pre-registered metric family --
     let metrics = probe.metrics();
-    assert!(metrics.alert_transitions("pending") >= 1, "missing ok→pending count");
-    assert!(metrics.alert_transitions("firing") >= 1, "missing pending→firing count");
-    assert!(metrics.alert_transitions("resolved") >= 1, "missing firing→resolved count");
-    assert!(metrics.slo_scrapes() > 0);
+    assert!(metrics.alert_transitions[AlertState::Pending].get() >= 1, "missing ok→pending count");
+    assert!(
+        metrics.alert_transitions[AlertState::Firing].get() >= 1,
+        "missing pending→firing count"
+    );
+    assert!(
+        metrics.alert_transitions[AlertState::Resolved].get() >= 1,
+        "missing firing→resolved count"
+    );
+    assert!(metrics.slo_scrapes.get() > 0);
 
     // -- and the same run emitted correlated health.alert obs events --
     let field_str = |e: &obs::Event, key: &str| match e.field(key) {
@@ -210,9 +216,9 @@ fn scrapes_stay_consistent_and_ring_bounded_under_writer_stress() {
                         metrics.record_shed();
                     }
                     if n.is_multiple_of(5) {
-                        metrics.record_cache_hit();
+                        metrics.cache_hits.inc();
                     } else {
-                        metrics.record_cache_miss();
+                        metrics.cache_misses.inc();
                     }
                     n = n.wrapping_add(1);
                 }
@@ -296,14 +302,14 @@ fn connection_gauges_return_to_zero_after_keepalive_soak_drains() {
         }
         conns.push(stream);
     }
-    assert!(metrics.keepalive_reuses() >= 16, "soak must exercise keep-alive reuse");
-    assert!(metrics.connections_open() >= 8, "all soak connections still open");
+    assert!(metrics.keepalive_reuses.get() >= 16, "soak must exercise keep-alive reuse");
+    assert!(metrics.connections_open.get() >= 8, "all soak connections still open");
 
     // Drain: the daemon force-closes every idle persistent connection.
     shutdown(addr);
     server_thread.join().unwrap().unwrap();
-    assert_eq!(metrics.connections_open(), 0, "open-connection gauge must drain to zero");
-    assert_eq!(metrics.read_paused(), 0, "read-paused gauge must drain to zero");
-    assert_eq!(metrics.write_stalled(), 0, "write-stalled gauge must drain to zero");
+    assert_eq!(metrics.connections_open.get(), 0, "open-connection gauge must drain to zero");
+    assert_eq!(metrics.read_paused.get(), 0, "read-paused gauge must drain to zero");
+    assert_eq!(metrics.write_stalled.get(), 0, "write-stalled gauge must drain to zero");
     drop(conns);
 }

@@ -453,11 +453,11 @@ fn shadow_scoring_adds_under_five_percent_to_advise() {
         assert_eq!(resp.status, 200);
     }
     let m = router.metrics();
-    assert!(m.advise_stage_count(AdviseStage::Shadow) >= problems.len().min(24) as u64);
-    let shadow = m.advise_stage_mean_seconds(AdviseStage::Shadow);
-    let pipeline = m.advise_stage_mean_seconds(AdviseStage::Cache)
-        + m.advise_stage_mean_seconds(AdviseStage::Sweep)
-        + m.advise_stage_mean_seconds(AdviseStage::Encode)
+    assert!(m.advise_stages[AdviseStage::Shadow].count() >= problems.len().min(24) as u64);
+    let shadow = m.advise_stages[AdviseStage::Shadow].mean_seconds();
+    let pipeline = m.advise_stages[AdviseStage::Cache].mean_seconds()
+        + m.advise_stages[AdviseStage::Sweep].mean_seconds()
+        + m.advise_stages[AdviseStage::Encode].mean_seconds()
         + shadow;
     assert!(shadow.is_finite() && pipeline.is_finite());
     // One flat predict_row against a whole candidate sweep: give the 5%

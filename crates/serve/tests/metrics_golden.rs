@@ -16,12 +16,13 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use chemcost_health::AlertState;
 use chemcost_lifecycle::{LifecycleObserver, LifecycleState, PromotionOutcome};
 use chemcost_serve::batcher::FlushReason;
 use chemcost_serve::fault::FaultKind;
 use chemcost_serve::metrics::{
-    build_info, AdviseStage, DeadlineStage, LifecycleMetricsBridge, Metrics, QualityStats,
-    RequestStage, Route,
+    build_info, AdviseStage, DeadlineStage, LifecycleMetricsBridge, Metrics, QualityOutcome,
+    QualityStats, RequestStage, Route,
 };
 use chemcost_serve::MetricsSampler;
 
@@ -71,36 +72,36 @@ fn scripted() -> Arc<Metrics> {
     m.record(Route::Other, false, Duration::from_secs(10));
     m.record(Route::Debug, false, Duration::from_micros(700));
     m.record_shed();
-    m.inc_in_flight();
-    m.inc_in_flight();
-    m.dec_in_flight();
-    m.pool_enqueued();
-    m.pool_enqueued();
-    m.pool_enqueued();
-    m.pool_dequeued();
-    m.record_advise_stage(AdviseStage::Cache, Duration::from_micros(30));
-    m.record_advise_stage(AdviseStage::Sweep, Duration::from_millis(6));
-    m.record_advise_stage(AdviseStage::Sweep, Duration::from_secs(7));
-    m.record_advise_stage(AdviseStage::Encode, Duration::from_micros(200));
-    m.record_advise_stage(AdviseStage::Shadow, Duration::from_micros(100));
-    m.record_cache_hit();
-    m.record_cache_hit();
-    m.record_cache_miss();
-    m.set_cache_entries(5);
-    m.record_deadline_exceeded(DeadlineStage::Queue);
-    m.record_deadline_exceeded(DeadlineStage::Sweep);
-    m.record_deadline_exceeded(DeadlineStage::Sweep);
+    m.in_flight.inc();
+    m.in_flight.inc();
+    m.in_flight.dec();
+    m.pool_queue_depth.inc();
+    m.pool_queue_depth.inc();
+    m.pool_queue_depth.inc();
+    m.pool_queue_depth.dec();
+    m.advise_stages[AdviseStage::Cache].observe(Duration::from_micros(30));
+    m.advise_stages[AdviseStage::Sweep].observe(Duration::from_millis(6));
+    m.advise_stages[AdviseStage::Sweep].observe(Duration::from_secs(7));
+    m.advise_stages[AdviseStage::Encode].observe(Duration::from_micros(200));
+    m.advise_stages[AdviseStage::Shadow].observe(Duration::from_micros(100));
+    m.cache_hits.inc();
+    m.cache_hits.inc();
+    m.cache_misses.inc();
+    m.cache_entries.set(5);
+    m.deadline_exceeded[DeadlineStage::Queue].inc();
+    m.deadline_exceeded[DeadlineStage::Sweep].inc();
+    m.deadline_exceeded[DeadlineStage::Sweep].inc();
     // A failed reload followed by a good one: the counter moves, the
     // (time-dependent) staleness gauge is back at zero.
     m.record_reload_failure();
     m.mark_model_fresh();
-    m.record_stale_served();
-    m.record_fault(FaultKind::SlowIo);
-    m.record_fault(FaultKind::PoisonReload);
-    m.record_fault(FaultKind::PoisonReload);
-    m.record_quality_observation(true);
-    m.record_quality_observation(true);
-    m.record_quality_observation(false);
+    m.stale_served.inc();
+    m.faults_injected[FaultKind::SlowIo].inc();
+    m.faults_injected[FaultKind::PoisonReload].inc();
+    m.faults_injected[FaultKind::PoisonReload].inc();
+    m.quality_observations[QualityOutcome::Accepted].inc();
+    m.quality_observations[QualityOutcome::Accepted].inc();
+    m.quality_observations[QualityOutcome::Rejected].inc();
     m.set_model_quality(
         "gb",
         1,
@@ -134,35 +135,43 @@ fn scripted() -> Arc<Metrics> {
     bridge.on_promotion(PromotionOutcome::Auto);
     bridge.on_promotion(PromotionOutcome::Rejected);
     bridge.on_promotion(PromotionOutcome::Rejected);
-    m.inc_connections_open();
-    m.inc_connections_open();
-    m.inc_connections_open();
-    m.dec_connections_open();
+    m.connections_open.inc();
+    m.connections_open.inc();
+    m.connections_open.inc();
+    m.connections_open.dec();
     m.record_batch_flush(FlushReason::Drain, 2);
     m.record_batch_flush(FlushReason::Window, 7);
     m.record_batch_flush(FlushReason::Window, 600);
     m.record_batch_flush(FlushReason::Full, 1024);
-    m.record_keepalive_reuse();
-    m.record_keepalive_reuse();
-    m.record_keepalive_reuse();
+    m.keepalive_reuses.inc();
+    m.keepalive_reuses.inc();
+    m.keepalive_reuses.inc();
     for (i, stage) in RequestStage::ALL.into_iter().enumerate() {
-        m.record_request_stage(stage, Duration::from_micros(40 + 150 * i as u64));
+        m.request_stages[stage].observe(Duration::from_micros(40 + 150 * i as u64));
     }
-    m.record_request_stage(RequestStage::Handler, Duration::from_secs(6));
-    m.record_loop_iteration(Duration::from_micros(120), 3);
-    m.record_loop_iteration(Duration::from_micros(80), 0);
-    m.record_loop_iteration(Duration::from_secs(6), 700);
-    m.inc_read_paused();
-    m.inc_read_paused();
-    m.dec_read_paused();
-    m.inc_write_stalled();
-    m.record_alert_transition("pending");
-    m.record_alert_transition("firing");
-    m.record_alert_transition("firing");
-    m.record_alert_transition("resolved");
-    m.set_alert_gauges(1, 2);
-    m.record_slo_scrape(6, 1);
-    m.record_slo_scrape(6, 0);
+    m.request_stages[RequestStage::Handler].observe(Duration::from_secs(6));
+    m.loop_iteration.observe(Duration::from_micros(120));
+    m.loop_events_per_wake.observe(3);
+    m.loop_iteration.observe(Duration::from_micros(80));
+    m.loop_events_per_wake.observe(0);
+    m.loop_iteration.observe(Duration::from_secs(6));
+    m.loop_events_per_wake.observe(700);
+    m.read_paused.inc();
+    m.read_paused.inc();
+    m.read_paused.dec();
+    m.write_stalled.inc();
+    m.record_alert_transition(AlertState::Pending);
+    m.record_alert_transition(AlertState::Firing);
+    m.record_alert_transition(AlertState::Firing);
+    m.record_alert_transition(AlertState::Resolved);
+    m.alerts_firing.set(1);
+    m.alerts_pending.set(2);
+    m.slo_scrapes.inc();
+    m.slo_evaluations.add(6);
+    m.slo_breaching.set(1);
+    m.slo_scrapes.inc();
+    m.slo_evaluations.add(6);
+    m.slo_breaching.set(0);
     m
 }
 

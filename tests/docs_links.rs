@@ -3,7 +3,11 @@
 //! a file (or directory) that exists in the repository. Anchors
 //! (`#section`) and absolute URLs are out of scope — this is about
 //! cross-references between committed files rotting when one is renamed.
+//!
+//! The metric catalog is checked the same way: the metric tables in
+//! docs/*.md must match the serve metric family table, row for family.
 
+use chemcost::serve::metrics::{Labels, FAMILIES};
 use std::path::{Path, PathBuf};
 
 /// Repository root (this test compiles in the root package).
@@ -147,4 +151,61 @@ inline `[also not](nope.md)` code\n\
     assert_eq!(relative_target("docs/SERVING.md#tuning"), Some("docs/SERVING.md"));
     assert_eq!(relative_target("https://example.com"), None);
     assert_eq!(relative_target("#local"), None);
+}
+
+/// Metric-table rows of docs/*.md: `(family name, row, file)` for every
+/// table row whose first cell is a backticked `chemcost_*` name (a label
+/// set such as `{model,machine}` after the name is not part of it).
+fn metric_rows() -> Vec<(String, String, String)> {
+    let mut rows = Vec::new();
+    for file in doc_files() {
+        if !file.parent().is_some_and(|dir| dir.ends_with("docs")) {
+            continue;
+        }
+        let text = std::fs::read_to_string(&file).expect("doc file");
+        for line in text.lines() {
+            let Some(cell) = line.strip_prefix("| `chemcost_") else { continue };
+            let rest: String =
+                cell.chars().take_while(|c| c.is_ascii_alphanumeric() || *c == '_').collect();
+            rows.push((format!("chemcost_{rest}"), line.to_string(), file.display().to_string()));
+        }
+    }
+    rows
+}
+
+#[test]
+fn metric_tables_match_the_family_table() {
+    let rows = metric_rows();
+    let mut problems = Vec::new();
+    for fam in FAMILIES {
+        if !rows.iter().any(|(name, ..)| name == fam.name) {
+            problems.push(format!("{} has no row in a docs/*.md metric table", fam.name));
+        }
+    }
+    for (name, _, file) in &rows {
+        if !FAMILIES.iter().any(|fam| fam.name == name) {
+            problems.push(format!("{file}: row for {name}, which is not a metric family"));
+        }
+    }
+    assert!(problems.is_empty(), "metric docs drifted:\n{}", problems.join("\n"));
+}
+
+#[test]
+fn metric_rows_list_every_label_value() {
+    let rows = metric_rows();
+    let mut problems = Vec::new();
+    for fam in FAMILIES {
+        let Labels::Enum(key, values) = fam.labels else { continue };
+        let text: String = rows
+            .iter()
+            .filter(|(name, ..)| name == fam.name)
+            .map(|(_, row, _)| row.as_str())
+            .collect();
+        for value in values {
+            if !text.contains(&format!("`{value}`")) && !text.contains(&format!("\"{value}\"")) {
+                problems.push(format!("{} row omits {key} value `{value}`", fam.name));
+            }
+        }
+    }
+    assert!(problems.is_empty(), "metric docs drifted:\n{}", problems.join("\n"));
 }
