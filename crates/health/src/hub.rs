@@ -11,6 +11,13 @@ use crate::schema::{Sample, Schema};
 use crate::slo::{SloEngine, SloSpec};
 use chemcost_obs::write_json_string;
 
+/// Most samples a hub's ring retains, whatever the configured cadence.
+/// `retention ÷ scrape_interval + 1` is clamped to this, so even a 1 ms
+/// scrape interval has bounded memory: about 3 MiB of series values at a
+/// fresh serve registry's 192-word sample. The default config (900 s at
+/// 1 s) needs 901.
+pub const MAX_RING_SAMPLES: usize = 2048;
+
 /// Observer invoked on every alert transition (metrics, obs events).
 pub type TransitionObserver = Box<dyn Fn(&Transition) + Send + Sync>;
 
@@ -19,10 +26,10 @@ pub type TransitionObserver = Box<dyn Fn(&Transition) + Send + Sync>;
 pub struct HealthConfig {
     /// How often the embedder samples its metric registry.
     pub scrape_interval: Duration,
-    /// How much history the ring retains.
+    /// How much history the ring retains. The ring holds
+    /// `retention ÷ scrape_interval + 1` samples, at most
+    /// [`MAX_RING_SAMPLES`].
     pub retention: Duration,
-    /// Byte budget for the ring's encoded history.
-    pub max_bytes: usize,
     /// Objectives to evaluate on every ingest.
     pub slos: Vec<SloSpec>,
 }
@@ -32,7 +39,6 @@ impl Default for HealthConfig {
         HealthConfig {
             scrape_interval: Duration::from_secs(1),
             retention: Duration::from_secs(900),
-            max_bytes: 512 * 1024,
             slos: Vec::new(),
         }
     }
@@ -116,8 +122,10 @@ pub struct HealthHub {
 impl HealthHub {
     /// Build a hub for `schema` with the given config.
     pub fn new(schema: Arc<Schema>, config: &HealthConfig) -> Self {
-        let ring =
-            Ring::new(Arc::clone(&schema), config.max_bytes, config.retention.as_micros() as u64);
+        let interval_us = config.scrape_interval.as_micros().max(1);
+        let capacity =
+            (config.retention.as_micros() / interval_us + 1).min(MAX_RING_SAMPLES as u128) as usize;
+        let ring = Ring::new(Arc::clone(&schema), capacity, config.retention.as_micros() as u64);
         HealthHub {
             schema,
             ring,
@@ -148,13 +156,11 @@ impl HealthHub {
     /// history, notify observers, and return the transitions taken.
     pub fn ingest(&self, sample: &Sample) -> Vec<Transition> {
         self.ring.push(sample);
-        // The slowest SLO window bounds how much history evaluation
-        // needs; replaying the whole ring is fine at ring sizes.
-        let samples = self.ring.samples_since(0);
-        let transitions = {
-            let mut engine = self.engine.lock().unwrap();
-            engine.evaluate(&self.schema, &samples)
-        };
+        // Evaluate against the retained samples in place. Lock order is
+        // ring → engine; nothing takes them the other way round.
+        let transitions = self
+            .ring
+            .with_samples(|samples| self.engine.lock().unwrap().evaluate(&self.schema, samples));
         if !transitions.is_empty() {
             let observers = self.observers.read().unwrap();
             for t in &transitions {
@@ -402,10 +408,41 @@ mod tests {
             hub.ingest(&sample(t, t * 10, 0));
         }
         let body = hub.debug_json();
-        assert!(body.contains("\"ring\":{\"len\":5"), "{body}");
+        // Two counters per sample: bytes = len × width × 8.
+        assert!(body.contains("\"ring\":{\"len\":5,\"bytes\":80,"), "{body}");
         assert!(body.contains("\"history\":["), "{body}");
         assert!(body.contains("\"breaching\":false"), "{body}");
         assert_eq!(body.matches('{').count(), body.matches('}').count());
+    }
+
+    #[test]
+    fn default_config_retains_the_full_retention_window() {
+        let hub = HealthHub::new(schema(), &HealthConfig::default());
+        for t in 0..1000 {
+            hub.ingest(&sample(t, t, 0));
+        }
+        let stats = hub.ring_stats();
+        assert_eq!(stats.len, 901);
+        assert_eq!(stats.span_us, 900_000_000);
+        assert_eq!(stats.evicted, 99);
+    }
+
+    #[test]
+    fn millisecond_scrapes_stay_bounded() {
+        let config =
+            HealthConfig { scrape_interval: Duration::from_millis(1), ..HealthConfig::default() };
+        let hub = HealthHub::new(schema(), &config);
+        for t in 0..(MAX_RING_SAMPLES as u64 + 500) {
+            let s = Sample { unix_us: t * 1_000, counters: vec![t, 0], ..Sample::default() };
+            hub.ingest(&s);
+        }
+        let stats = hub.ring_stats();
+        assert_eq!(stats.len, MAX_RING_SAMPLES);
+        assert_eq!(stats.evicted, 500);
+        // The newest samples are the ones kept.
+        let kept = hub.samples_since(0);
+        assert_eq!(kept.first().unwrap().counters[0], 500);
+        assert_eq!(kept.last().unwrap().counters[0], MAX_RING_SAMPLES as u64 + 499);
     }
 
     #[test]

@@ -10,11 +10,10 @@
 //!   counters, gauges, float values, and histograms. The producer (the
 //!   daemon's self-scrape sampler) decides the series names; this crate
 //!   never depends on the metric registry it observes.
-//! * [`Ring`] — a bounded, delta-compressed history of samples.
-//!   Consecutive snapshots differ by a handful of increments, so each
-//!   entry stores zigzag-varint deltas against its predecessor: a
-//!   steady-state sample costs a few bytes, not a few kilobytes. The
-//!   ring evicts by byte budget and by retention window.
+//! * [`Ring`] — a bounded history of samples, kept as pushed so SLO
+//!   evaluation reads them in place. It holds one retention window's
+//!   worth of scrapes (at most [`MAX_RING_SAMPLES`]) and evicts the
+//!   oldest first.
 //! * [`WindowView`] — counter-rate, ratio, and histogram-quantile
 //!   derivation over an arbitrary lookback slice of the ring.
 //! * [`SloSpec`] / [`SloEngine`] — declarative objectives evaluated as
@@ -30,10 +29,6 @@
 //!   rules in a small TOML-like format (`--slo-file`).
 //! * [`sparkline`] — ASCII sparklines over ring history for the
 //!   `chemcost health` CLI.
-//!
-//! The ring is the in-memory precursor of the WAL-backed durable
-//! observation store on the roadmap: the snapshot schema and the delta
-//! encoding are exactly what a segment file would hold.
 
 mod alert;
 mod config;
@@ -47,7 +42,7 @@ mod window;
 
 pub use alert::{AlertMachine, AlertState, Transition};
 pub use config::{parse_duration, parse_slo_file};
-pub use hub::{HealthConfig, HealthHub, SloStatus, Verdict};
+pub use hub::{HealthConfig, HealthHub, SloStatus, Verdict, MAX_RING_SAMPLES};
 pub use json::json_num;
 pub use ring::{Ring, RingStats};
 pub use schema::{HistSample, HistSchema, Sample, Schema};

@@ -1,59 +1,36 @@
-//! Bounded, delta-compressed sample history.
+//! Bounded sample history: a plain ring of [`Sample`]s.
 //!
-//! Consecutive self-scrapes of a metric registry are nearly identical:
-//! a handful of counters advanced, everything else repeats. Storing
-//! full snapshots would cost `width × 8` bytes per second; storing the
-//! word-wise difference as zigzag varints costs one byte per unchanged
-//! word and a few bytes per changed one. The ring keeps a running
-//! `base` (the flattened sample just *before* the oldest retained
-//! entry), so eviction folds the front delta into the base instead of
-//! re-encoding anything.
+//! The ring holds at most `capacity` samples and drops any sample older
+//! than the retention window, evicting from the front. Samples are kept
+//! as they were pushed, so SLO evaluation reads them in place.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use crate::schema::{Sample, Schema};
 
-/// Fixed per-entry bookkeeping charged against the byte budget
-/// (timestamp + Vec header, approximately).
-const ENTRY_OVERHEAD: usize = 24;
-
-/// Delta-compressed ring of [`Sample`]s with a byte budget and a
-/// retention window. All methods take `&self`; the ring is shared
-/// between the sampler thread and HTTP readers.
+/// Ring of [`Sample`]s bounded by a sample count and a retention
+/// window. All methods take `&self`; the ring is shared between the
+/// sampler thread and HTTP readers.
 pub struct Ring {
     schema: Arc<Schema>,
-    max_bytes: usize,
+    capacity: usize,
     retention_us: u64,
     inner: Mutex<RingInner>,
 }
 
 struct RingInner {
-    /// Flattened words of the sample immediately before `entries[0]`
-    /// (all-zero before the first sample ever pushed).
-    base: Vec<u64>,
-    base_unix_us: u64,
-    entries: VecDeque<Entry>,
-    /// Flattened words of the newest sample (delta source for the next
-    /// push).
-    last: Vec<u64>,
-    /// Encoded payload bytes currently held (incl. per-entry overhead).
-    bytes: usize,
+    samples: VecDeque<Sample>,
     appended: u64,
     evicted: u64,
-}
-
-struct Entry {
-    unix_us: u64,
-    delta: Vec<u8>,
 }
 
 /// Point-in-time accounting for `/debug/slo` and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RingStats {
-    /// Entries currently retained.
+    /// Samples currently retained.
     pub len: usize,
-    /// Encoded bytes currently held (including per-entry overhead).
+    /// Size of the retained series values: `len × schema width × 8`.
     pub bytes: usize,
     /// Samples pushed over the ring's lifetime.
     pub appended: u64,
@@ -64,147 +41,68 @@ pub struct RingStats {
 }
 
 impl Ring {
-    /// Create a ring for `schema`, bounded by `max_bytes` of encoded
-    /// payload and `retention` worth of history (whichever bites
-    /// first). At least one entry is always retained.
-    pub fn new(schema: Arc<Schema>, max_bytes: usize, retention_us: u64) -> Self {
-        let width = schema.width();
+    /// Create a ring for `schema` holding at most `capacity` samples and
+    /// `retention_us` worth of history (whichever bites first). At least
+    /// one sample is always retained.
+    pub fn new(schema: Arc<Schema>, capacity: usize, retention_us: u64) -> Self {
+        let capacity = capacity.max(1);
         Ring {
             schema,
-            max_bytes,
+            capacity,
             retention_us,
             inner: Mutex::new(RingInner {
-                base: vec![0; width],
-                base_unix_us: 0,
-                entries: VecDeque::new(),
-                last: vec![0; width],
-                bytes: 0,
+                samples: VecDeque::with_capacity(capacity),
                 appended: 0,
                 evicted: 0,
             }),
         }
     }
 
-    /// The schema this ring stores samples of.
-    pub fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
     /// Append one sample, evicting from the front as needed to stay
-    /// within the byte budget and retention window.
+    /// within the capacity and retention window.
     pub fn push(&self, sample: &Sample) {
-        let words = self.schema.flatten(sample);
         let mut inner = self.inner.lock().unwrap();
-        let delta = encode_delta(&inner.last, &words);
-        inner.bytes += delta.len() + ENTRY_OVERHEAD;
-        inner.entries.push_back(Entry { unix_us: sample.unix_us, delta });
-        inner.last = words;
+        inner.samples.push_back(sample.clone());
         inner.appended += 1;
         let newest = sample.unix_us;
-        while inner.entries.len() > 1
-            && (inner.bytes > self.max_bytes
-                || newest.saturating_sub(inner.entries.front().unwrap().unix_us)
-                    > self.retention_us)
+        while inner.samples.len() > self.capacity
+            || (inner.samples.len() > 1
+                && newest.saturating_sub(inner.samples[0].unix_us) > self.retention_us)
         {
-            let front = inner.entries.pop_front().unwrap();
-            inner.bytes -= front.delta.len() + ENTRY_OVERHEAD;
-            // Fold the evicted delta into the base so replay still
-            // starts from a correct absolute state.
-            let mut base = std::mem::take(&mut inner.base);
-            apply_delta(&mut base, &front.delta);
-            inner.base = base;
-            inner.base_unix_us = front.unix_us;
+            inner.samples.pop_front();
             inner.evicted += 1;
         }
     }
 
-    /// Replay every retained sample with `unix_us >= since_unix_us`,
+    /// Run `f` over every retained sample, oldest first, without
+    /// copying them. The ring stays locked while `f` runs.
+    pub fn with_samples<R>(&self, f: impl FnOnce(&[Sample]) -> R) -> R {
+        let mut inner = self.inner.lock().unwrap();
+        f(inner.samples.make_contiguous())
+    }
+
+    /// Copies of every retained sample with `unix_us >= since_unix_us`,
     /// oldest first. Pass `0` for the full history.
     pub fn samples_since(&self, since_unix_us: u64) -> Vec<Sample> {
         let inner = self.inner.lock().unwrap();
-        let mut words = inner.base.clone();
-        let mut out = Vec::new();
-        for entry in &inner.entries {
-            apply_delta(&mut words, &entry.delta);
-            if entry.unix_us >= since_unix_us {
-                out.push(self.schema.unflatten(entry.unix_us, &words));
-            }
-        }
-        out
-    }
-
-    /// The newest retained sample, if any.
-    pub fn latest(&self) -> Option<Sample> {
-        let inner = self.inner.lock().unwrap();
-        let entry = inner.entries.back()?;
-        Some(self.schema.unflatten(entry.unix_us, &inner.last))
+        inner.samples.iter().filter(|s| s.unix_us >= since_unix_us).cloned().collect()
     }
 
     /// Current accounting.
     pub fn stats(&self) -> RingStats {
         let inner = self.inner.lock().unwrap();
-        let span_us = match (inner.entries.front(), inner.entries.back()) {
+        let span_us = match (inner.samples.front(), inner.samples.back()) {
             (Some(f), Some(b)) => b.unix_us.saturating_sub(f.unix_us),
             _ => 0,
         };
         RingStats {
-            len: inner.entries.len(),
-            bytes: inner.bytes,
+            len: inner.samples.len(),
+            bytes: inner.samples.len() * self.schema.width() * 8,
             appended: inner.appended,
             evicted: inner.evicted,
             span_us,
         }
     }
-}
-
-/// Zigzag-encode a signed word-wise delta so small moves in either
-/// direction stay small on the wire.
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-fn push_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push((v as u8) | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
-}
-
-fn read_varint(bytes: &[u8], at: &mut usize) -> u64 {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = bytes[*at];
-        *at += 1;
-        v |= u64::from(b & 0x7f) << shift;
-        if b < 0x80 {
-            return v;
-        }
-        shift += 7;
-    }
-}
-
-fn encode_delta(prev: &[u64], next: &[u64]) -> Vec<u8> {
-    debug_assert_eq!(prev.len(), next.len());
-    let mut out = Vec::with_capacity(next.len() / 4 + 8);
-    for (&p, &n) in prev.iter().zip(next) {
-        push_varint(&mut out, zigzag(n.wrapping_sub(p) as i64));
-    }
-    out
-}
-
-fn apply_delta(words: &mut [u64], delta: &[u8]) {
-    let mut at = 0usize;
-    for w in words.iter_mut() {
-        let d = unzigzag(read_varint(delta, &mut at));
-        *w = w.wrapping_add(d as u64);
-    }
-    debug_assert_eq!(at, delta.len());
 }
 
 #[cfg(test)]
@@ -237,18 +135,18 @@ mod tests {
 
     #[test]
     fn replay_round_trips_exactly() {
-        let ring = Ring::new(schema(), 1 << 20, u64::MAX);
+        let ring = Ring::new(schema(), 1024, u64::MAX);
         let samples: Vec<Sample> = (0..50).map(|i| sample(i * 1_000_000, i * 7)).collect();
         for s in &samples {
             ring.push(s);
         }
         assert_eq!(ring.samples_since(0), samples);
-        assert_eq!(ring.latest().as_ref(), samples.last());
+        assert_eq!(ring.with_samples(|s| s.to_vec()), samples);
     }
 
     #[test]
     fn since_filter_slices_by_timestamp() {
-        let ring = Ring::new(schema(), 1 << 20, u64::MAX);
+        let ring = Ring::new(schema(), 1024, u64::MAX);
         for i in 0..10u64 {
             ring.push(&sample(i * 1_000_000, i));
         }
@@ -258,30 +156,31 @@ mod tests {
     }
 
     #[test]
-    fn byte_budget_evicts_but_replay_stays_correct() {
-        let ring = Ring::new(schema(), 600, u64::MAX);
+    fn capacity_evicts_but_replay_stays_exact() {
+        let ring = Ring::new(schema(), 16, u64::MAX);
         for i in 0..200u64 {
             ring.push(&sample(i * 1_000_000, i * 3));
+            // The contiguous view stays exact after every wrap.
+            let oldest = i.saturating_sub(15);
+            ring.with_samples(|s| {
+                assert_eq!(s.len() as u64, i - oldest + 1);
+                assert_eq!(s[0], sample(oldest * 1_000_000, oldest * 3));
+            });
         }
         let stats = ring.stats();
-        assert!(stats.bytes <= 600, "bytes {} over budget", stats.bytes);
-        assert!(stats.evicted > 0);
+        assert_eq!(stats.len, 16);
+        assert_eq!(stats.bytes, 16 * schema().width() * 8);
         assert_eq!(stats.appended, 200);
-        let replay = ring.samples_since(0);
-        assert_eq!(stats.len, replay.len());
-        // Evicted prefix folded into base: replayed samples are still
-        // the exact absolute values that were pushed.
-        let newest = replay.last().unwrap();
-        assert_eq!(newest, &sample(199 * 1_000_000, 199 * 3));
-        let oldest = replay.first().unwrap();
-        let i = oldest.unix_us / 1_000_000;
-        assert_eq!(oldest, &sample(i * 1_000_000, i * 3));
+        assert_eq!(stats.evicted, 184);
+        // Retained samples are exactly the newest 16 that were pushed.
+        let expected: Vec<Sample> = (184..200u64).map(|i| sample(i * 1_000_000, i * 3)).collect();
+        assert_eq!(ring.samples_since(0), expected);
     }
 
     #[test]
     fn retention_window_evicts_old_entries() {
         // 5-second retention with 1-second samples keeps ~6 entries.
-        let ring = Ring::new(schema(), 1 << 20, 5_000_000);
+        let ring = Ring::new(schema(), 1024, 5_000_000);
         for i in 0..60u64 {
             ring.push(&sample(i * 1_000_000, i));
         }
@@ -293,28 +192,10 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_deltas_are_small() {
-        let ring = Ring::new(schema(), 1 << 20, u64::MAX);
-        let s = sample(0, 100);
-        for i in 0..100u64 {
-            let mut s = s.clone();
-            s.unix_us = i * 1_000_000;
-            ring.push(&s);
-        }
-        // Width is 10 words; an unchanged sample costs 1 byte/word.
-        let stats = ring.stats();
-        let payload = stats.bytes - stats.len * ENTRY_OVERHEAD;
-        assert!(payload < 100 * 12 + 64, "payload {payload} too large for identical samples");
-    }
-
-    #[test]
-    fn varint_zigzag_round_trip() {
-        for v in [0i64, 1, -1, 63, -64, 300, -300, i64::MAX, i64::MIN] {
-            let mut buf = Vec::new();
-            push_varint(&mut buf, zigzag(v));
-            let mut at = 0;
-            assert_eq!(unzigzag(read_varint(&buf, &mut at)), v);
-            assert_eq!(at, buf.len());
-        }
+    fn at_least_one_sample_is_retained() {
+        let ring = Ring::new(schema(), 0, 0);
+        ring.push(&sample(0, 1));
+        ring.push(&sample(10_000_000, 2));
+        assert_eq!(ring.samples_since(0), vec![sample(10_000_000, 2)]);
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! A [`Schema`] fixes the series names and histogram bucket bounds once,
 //! at sampler start; every [`Sample`] then carries only values, in
-//! schema order. That fixed order is what makes the ring's delta
-//! encoding trivial — two consecutive samples are the same-length word
-//! vector, so a delta is a per-word subtraction.
+//! schema order, so readers resolve a series to a position once and
+//! index every sample with it.
 
 /// Bucket bounds for one histogram series (upper bounds in seconds,
 /// `+Inf` implied as a final overflow bucket).
@@ -32,8 +31,9 @@ pub struct Schema {
 }
 
 impl Schema {
-    /// Number of `u64` words one flattened sample occupies (excluding
-    /// the timestamp, which the ring stores per entry).
+    /// Number of 8-byte values one sample carries (excluding the
+    /// timestamp): every counter, gauge and float value, plus each
+    /// histogram's buckets, sum and count.
     pub fn width(&self) -> usize {
         self.counters.len()
             + self.gauges.len()
@@ -59,53 +59,6 @@ impl Schema {
     /// Position of a histogram by name.
     pub fn histogram_index(&self, name: &str) -> Option<usize> {
         self.histograms.iter().position(|h| h.name == name)
-    }
-
-    /// Flatten a sample into schema-ordered `u64` words. Gauges are
-    /// stored as two's-complement bit patterns, float values as IEEE
-    /// bit patterns — both delta-encode well because consecutive
-    /// samples usually repeat the exact bits.
-    pub fn flatten(&self, sample: &Sample) -> Vec<u64> {
-        debug_assert_eq!(sample.counters.len(), self.counters.len());
-        debug_assert_eq!(sample.gauges.len(), self.gauges.len());
-        debug_assert_eq!(sample.values.len(), self.values.len());
-        debug_assert_eq!(sample.hists.len(), self.histograms.len());
-        let mut words = Vec::with_capacity(self.width());
-        words.extend_from_slice(&sample.counters);
-        words.extend(sample.gauges.iter().map(|&g| g as u64));
-        words.extend(sample.values.iter().map(|v| v.to_bits()));
-        for h in &sample.hists {
-            words.extend_from_slice(&h.buckets);
-            words.push(h.sum_micros);
-            words.push(h.count);
-        }
-        words
-    }
-
-    /// Rebuild a sample from schema-ordered words (inverse of
-    /// [`Schema::flatten`]).
-    pub fn unflatten(&self, unix_us: u64, words: &[u64]) -> Sample {
-        debug_assert_eq!(words.len(), self.width());
-        let mut at = 0usize;
-        let counters = words[at..at + self.counters.len()].to_vec();
-        at += self.counters.len();
-        let gauges: Vec<i64> =
-            words[at..at + self.gauges.len()].iter().map(|&w| w as i64).collect();
-        at += self.gauges.len();
-        let values: Vec<f64> =
-            words[at..at + self.values.len()].iter().map(|&w| f64::from_bits(w)).collect();
-        at += self.values.len();
-        let mut hists = Vec::with_capacity(self.histograms.len());
-        for h in &self.histograms {
-            let n = h.bounds.len() + 1;
-            let buckets = words[at..at + n].to_vec();
-            at += n;
-            let sum_micros = words[at];
-            let count = words[at + 1];
-            at += 2;
-            hists.push(HistSample { buckets, sum_micros, count });
-        }
-        Sample { unix_us, counters, gauges, values, hists }
     }
 }
 
@@ -160,27 +113,9 @@ mod tests {
     }
 
     #[test]
-    fn flatten_round_trips() {
-        let schema = demo_schema();
-        let sample = Sample {
-            unix_us: 1_700_000_000_000_000,
-            counters: vec![10, 2],
-            gauges: vec![-3],
-            values: vec![0.25],
-            hists: vec![HistSample { buckets: vec![5, 3, 2], sum_micros: 1234, count: 10 }],
-        };
-        let words = schema.flatten(&sample);
-        assert_eq!(words.len(), schema.width());
-        let back = schema.unflatten(sample.unix_us, &words);
-        assert_eq!(back, sample);
-    }
-
-    #[test]
-    fn nan_values_survive_the_bit_round_trip() {
-        let schema = Schema { values: vec!["mape".into()], ..Schema::default() };
-        let sample = Sample { unix_us: 1, values: vec![f64::NAN], ..Sample::default() };
-        let back = schema.unflatten(1, &schema.flatten(&sample));
-        assert!(back.values[0].is_nan());
+    fn width_counts_every_value_word() {
+        // 2 counters + 1 gauge + 1 value + (3 buckets + sum + count).
+        assert_eq!(demo_schema().width(), 9);
     }
 
     #[test]

@@ -1,47 +1,42 @@
-//! Flat, struct-of-arrays tree-ensemble inference — the serving hot path.
+//! Flat tree-ensemble inference — the serving hot path.
 //!
-//! Fitted [`DecisionTree`]s store `enum` nodes in per-tree arenas; walking
-//! them means matching an enum and chasing per-tree allocations for every
-//! row × tree. That is fine for training-time evaluation but wasteful on
-//! the advisor's query path, where one `/v1/advise` request sweeps hundreds
-//! of candidate configurations through an ensemble of hundreds of trees.
+//! Fitted [`DecisionTree`](crate::tree::DecisionTree)s store `enum` nodes
+//! in per-tree arenas; walking them means matching an enum and chasing
+//! per-tree allocations for every row × tree. That is fine for
+//! training-time evaluation but wasteful on the advisor's query path,
+//! where one `/v1/advise` request sweeps hundreds of candidate
+//! configurations through an ensemble of hundreds of trees.
 //!
-//! This module compiles a fitted ensemble into two parallel layouts:
+//! [`FlatGbt::compile`] turns a fitted [`GradientBoosting`] ensemble into
+//! one quantized layout (`QNodes`): 16-byte array-of-structs nodes (`f32`
+//! threshold, feature, two child indices) plus a separate `f32`
+//! leaf-value array, trees concatenated and addressed by root offset.
+//! Rows are converted to `f32` once per batch, and leaves are stored as
+//! ordinary self-loop nodes so the 8-lane interleaved stepper needs no
+//! leaf test at all: it runs a fixed, per-tree-depth count of uniform
+//! load→compare→select steps (bounds checks hoisted to one-time
+//! compile-side validation), giving the core eight independent
+//! dependent-load chains to overlap while a deep ensemble streams
+//! through cache.
 //!
-//! * an **exact** struct-of-arrays layout (`FlatNodes`): one `Vec` each for
-//!   split feature, `f64` threshold, children and leaf value, trees
-//!   concatenated and addressed by root offset. Served by
-//!   [`FlatForest::predict_batch_exact`] / [`FlatGbt::predict_batch_exact`],
-//!   its predictions are **bit-for-bit identical** to the recursive path:
-//!   per-row accumulation order over trees, the `<=`-threshold comparison
-//!   (including its NaN behaviour) and the scaling operations are exactly
-//!   those of [`RandomForest::predict`] and [`GradientBoosting::predict`].
-//! * a **quantized** layout (`QNodes`): 16-byte array-of-structs nodes
-//!   (`f32` threshold, feature, two child indices) plus a separate `f32`
-//!   leaf-value array. This is the default path behind
-//!   [`FlatForest::predict_batch`] / [`FlatGbt::predict_batch`]. Nodes
-//!   shrink from 28 to 16 bytes on the traversal stream, rows are
-//!   converted to `f32` once per batch, and leaves are stored as ordinary
-//!   self-loop nodes so the 8-lane interleaved stepper needs no leaf test
-//!   at all: it runs a fixed, per-tree-depth count of uniform
-//!   load→compare→select steps (bounds checks hoisted to one-time
-//!   compile-side validation), giving the core eight independent
-//!   dependent-load chains to overlap while a deep ensemble streams
-//!   through cache at roughly half the bytes of the exact layout.
+//! The recursive [`GradientBoosting::predict`] is the reference this
+//! layout is tested against.
 //!
 //! # Quantization contract
 //!
 //! Thresholds quantize **toward −∞** (the largest `f32` ≤ the exact `f64`
 //! threshold). For any `f32` value `x` this preserves routing exactly:
 //! `x ≤ t ⟺ x ≤ quantize(t)`, because an `f32` strictly above the
-//! quantized threshold cannot lie at or below the exact one. Feature
-//! values are rounded to nearest `f32` once per batch, so for inputs that
-//! are exactly representable in `f32` — including the advisor's whole
-//! candidate grid of small-integer node/tile/O/V counts — the quantized
-//! path visits the *same leaves* as the recursive model and differs only
-//! by `f32` rounding of the leaf values themselves (one rounding of
-//! ≤ 2⁻²⁴ relative per tree, accumulated in `f64`). That error is bounded
-//! well inside [`QUANT_REL_TOL`], which the tolerance battery in
+//! quantized threshold cannot lie at or below the exact one. The
+//! comparison is written `!(x <= t)`, so a NaN feature value falls right,
+//! exactly as in the recursive tree. Feature values are rounded to
+//! nearest `f32` once per batch, so for inputs that are exactly
+//! representable in `f32` — including the advisor's whole candidate grid
+//! of small-integer node/tile/O/V counts — the quantized path visits the
+//! *same leaves* as the recursive model and differs only by `f32`
+//! rounding of the leaf values themselves (one rounding of ≤ 2⁻²⁴
+//! relative per tree, accumulated in `f64`). That error is bounded well
+//! inside [`QUANT_REL_TOL`], which the tolerance battery in
 //! `tests/flat_equivalence.rs` asserts on proptest-generated models and on
 //! the 750-tree paper-config ensemble. For inputs *not* representable in
 //! `f32`, the quantized path computes an exact evaluation of the nearest-
@@ -49,10 +44,10 @@
 //! input perturbation ≤ 2⁻²⁴, which only matters for rows engineered to
 //! sit within one `f32` ulp of a split threshold.
 //!
-//! Within the quantized path, batched, blocked-parallel and single-row
-//! evaluation remain bit-for-bit identical to each other (same comparison,
-//! same `f64` accumulation order over trees), so serve-side batching
-//! equivalence tests keep asserting with `==`.
+//! Batched, blocked-parallel and single-row evaluation are bit-for-bit
+//! identical to each other (same comparison, same `f64` accumulation
+//! order over trees), so serve-side batching equivalence tests keep
+//! asserting with `==`.
 //!
 //! Evaluation is **tree-major** everywhere (trees outer, rows inner): a
 //! deep ensemble's node arrays are far larger than cache, so walking one
@@ -63,10 +58,9 @@
 //! reduces each row's leaves in tree order so results are independent of
 //! worker count.
 
-use crate::forest::RandomForest;
 use crate::gradient_boosting::GradientBoosting;
 use crate::traits::{FitError, Regressor};
-use crate::tree::{DecisionTree, FlatNode};
+use crate::tree::FlatNode;
 use chemcost_linalg::{parallel, Matrix};
 use std::cell::RefCell;
 
@@ -89,7 +83,7 @@ const ROW_BLOCK: usize = 1024;
 /// (≤ 2⁻²⁴ ≈ 6 × 10⁻⁸ relative); accumulation happens in `f64`, so the
 /// ensemble error stays far below this bound. The tolerance battery in
 /// `tests/flat_equivalence.rs` and the in-bench sanity checks assert
-/// `|quantized − exact| ≤ QUANT_REL_TOL · (1 + |exact|)`.
+/// `|quantized − recursive| ≤ QUANT_REL_TOL · (1 + |recursive|)`.
 pub const QUANT_REL_TOL: f64 = 1e-5;
 
 /// Largest `f32` less than or equal to `t` (round toward −∞), so that for
@@ -103,129 +97,18 @@ fn quantize_threshold(t: f64) -> f32 {
     }
 }
 
-/// Number of split steps on the longest root-to-leaf path of the tree
-/// whose nodes occupy `root..end` of `exact` (0 for a lone-leaf tree).
-/// Iterative DFS — recursion depth would otherwise track tree depth.
-fn tree_depth(exact: &FlatNodes, root: u32, end: usize) -> u32 {
-    let mut max = 0u32;
-    let mut stack = vec![(root as usize, 0u32)];
-    while let Some((i, d)) = stack.pop() {
-        assert!(i < end, "child index escapes its tree");
-        if exact.feature[i] == LEAF {
-            max = max.max(d);
-        } else {
-            let [l, r] = exact.children[i];
-            stack.push((l as usize, d + 1));
-            stack.push((r as usize, d + 1));
+/// Number of split steps on the longest root-to-leaf path of `tree` (0
+/// for a lone leaf). Children follow their parent in export order
+/// (checked by the caller), so one backward pass has seen both
+/// children's heights before it reaches their parent.
+fn tree_depth(tree: &[FlatNode]) -> u32 {
+    let mut height = vec![0u32; tree.len()];
+    for (i, n) in tree.iter().enumerate().rev() {
+        if n.feature != LEAF {
+            height[i] = 1 + height[n.left as usize].max(height[n.right as usize]);
         }
     }
-    max
-}
-
-/// Concatenated struct-of-arrays node storage for a whole ensemble — the
-/// exact (`f64`) representation.
-///
-/// Node `i` of the ensemble lives at position `i` of every array; tree
-/// boundaries exist only as entries in `roots`. Leaves carry `LEAF` in
-/// `feature` and their prediction in `value`; split nodes carry the
-/// feature index, threshold and two absolute child indices.
-#[derive(Debug, Clone, Default)]
-struct FlatNodes {
-    feature: Vec<u32>,
-    threshold: Vec<f64>,
-    children: Vec<[u32; 2]>,
-    value: Vec<f64>,
-    roots: Vec<u32>,
-}
-
-impl FlatNodes {
-    fn with_capacity(trees: usize, nodes: usize) -> Self {
-        Self {
-            feature: Vec::with_capacity(nodes),
-            threshold: Vec::with_capacity(nodes),
-            children: Vec::with_capacity(nodes),
-            value: Vec::with_capacity(nodes),
-            roots: Vec::with_capacity(trees),
-        }
-    }
-
-    /// Append one tree's exported nodes, rebasing child indices to the
-    /// ensemble-wide address space.
-    fn push_tree(&mut self, nodes: &[FlatNode]) {
-        assert!(!nodes.is_empty(), "cannot flatten an unfitted tree");
-        let base = self.feature.len() as u32;
-        self.roots.push(base);
-        for n in nodes {
-            let abs = self.feature.len() as u32;
-            self.feature.push(n.feature);
-            if n.feature == LEAF {
-                // Leaves self-loop behind an always-true comparison so the
-                // interleaved traversal can keep stepping a finished row
-                // harmlessly while its lane-mates are still descending.
-                self.threshold.push(f64::INFINITY);
-                self.children.push([abs, abs]);
-                self.value.push(n.value);
-            } else {
-                assert!(
-                    (n.left as usize) < nodes.len() && (n.right as usize) < nodes.len(),
-                    "child index out of range in flattened tree"
-                );
-                self.threshold.push(n.threshold);
-                self.children.push([base + n.left, base + n.right]);
-                self.value.push(0.0);
-            }
-        }
-    }
-
-    /// Largest feature index referenced by any split, plus one.
-    fn min_features(&self) -> usize {
-        self.feature.iter().filter(|&&f| f != LEAF).map(|&f| f as usize + 1).max().unwrap_or(0)
-    }
-
-    /// Walk one tree for one row. Branch-light: the comparison selects a
-    /// child slot instead of branching, and the loop exits only at a leaf.
-    ///
-    /// The comparison is `!(x <= t)` rather than `x > t` so NaN feature
-    /// values fall right, exactly as in `DecisionTree::predict_row`.
-    #[inline]
-    #[allow(clippy::neg_cmp_op_on_partial_ord)] // deliberate: NaN must fall right
-    fn leaf_value(&self, root: u32, row: &[f64]) -> f64 {
-        let mut i = root as usize;
-        loop {
-            let f = self.feature[i];
-            if f == LEAF {
-                return self.value[i];
-            }
-            let go_right = !(row[f as usize] <= self.threshold[i]) as usize;
-            i = self.children[i][go_right] as usize;
-        }
-    }
-
-    /// Accumulate `init + Σ weight · tree(row)` over all trees, in tree
-    /// order — the exact floating-point sequence of the recursive path.
-    #[inline]
-    fn score_row(&self, row: &[f64], init: f64, weight: f64) -> f64 {
-        let mut acc = init;
-        for &root in &self.roots {
-            acc += weight * self.leaf_value(root, row);
-        }
-        acc
-    }
-
-    /// Score every row of `x` serially, tree-major, into a fresh vector —
-    /// the exact-path batch entry point. (The quantized path owns the
-    /// parallel machinery; the exact path exists as a reference and for
-    /// callers that need bit-for-bit recursive equality, where throughput
-    /// is secondary.)
-    fn score_batch(&self, x: &Matrix, init: f64, weight: f64) -> Vec<f64> {
-        let mut out = vec![init; x.nrows()];
-        for &root in &self.roots {
-            for (k, o) in out.iter_mut().enumerate() {
-                *o += weight * self.leaf_value(root, x.row(k));
-            }
-        }
-        out
-    }
+    height[0]
 }
 
 /// One quantized tree node: 16 bytes, a single predictable stream for the
@@ -249,7 +132,7 @@ struct QNode {
 /// leaf test at all: it steps every lane exactly [`QNodes::depth`] times
 /// (the tree's longest root-to-leaf path) and lands on a leaf by
 /// construction, with finished rows self-looping harmlessly.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct QNodes {
     nodes: Vec<QNode>,
     value: Vec<f32>,
@@ -275,36 +158,62 @@ thread_local! {
 }
 
 impl QNodes {
-    /// Quantize the exact layout: thresholds round toward −∞ (see
-    /// [`quantize_threshold`]), leaf values round to nearest `f32`.
+    /// Quantize per-tree exported nodes: thresholds round toward −∞ (see
+    /// [`quantize_threshold`]), leaf values round to nearest `f32`, and
+    /// child indices are rebased to the ensemble-wide address space.
     /// Leaves become uniform self-loop nodes (`feature 0` vs `+∞`, both
     /// children pointing back at themselves) so the traversal loops never
     /// have to distinguish them, and each tree's maximum descent depth is
     /// recorded so those loops can run a fixed number of steps.
-    fn quantize(exact: &FlatNodes) -> Self {
-        let nodes = exact
-            .feature
-            .iter()
-            .zip(&exact.threshold)
-            .zip(&exact.children)
-            .map(|((&feature, &t), &children)| QNode {
-                threshold: quantize_threshold(t),
-                feature: if feature == LEAF { 0 } else { feature },
-                children,
-            })
-            .collect();
-        let value = exact.value.iter().map(|&v| v as f32).collect();
-        let depth = (0..exact.roots.len())
-            .map(|t| {
-                let end = exact.roots.get(t + 1).map_or(exact.feature.len(), |&r| r as usize);
-                tree_depth(exact, exact.roots[t], end)
-            })
-            .collect();
-        let q = QNodes { nodes, value, roots: exact.roots.clone(), depth };
+    ///
+    /// # Panics
+    /// Panics on an empty tree, a child index that is out of range or
+    /// does not follow its parent, or a split feature `>= n_features`.
+    fn compile(trees: &[Vec<FlatNode>], n_features: usize) -> Self {
+        let total = trees.iter().map(Vec::len).sum();
+        let mut q = QNodes {
+            nodes: Vec::with_capacity(total),
+            value: Vec::with_capacity(total),
+            roots: Vec::with_capacity(trees.len()),
+            depth: Vec::with_capacity(trees.len()),
+        };
+        for tree in trees {
+            assert!(!tree.is_empty(), "cannot flatten an unfitted tree");
+            let base = q.nodes.len() as u32;
+            q.roots.push(base);
+            for (i, n) in tree.iter().enumerate() {
+                if n.feature == LEAF {
+                    let abs = base + i as u32;
+                    q.nodes.push(QNode {
+                        threshold: f32::INFINITY,
+                        feature: 0,
+                        children: [abs, abs],
+                    });
+                    q.value.push(n.value as f32);
+                } else {
+                    assert!(
+                        (n.left as usize) < tree.len() && (n.right as usize) < tree.len(),
+                        "child index out of range in flattened tree"
+                    );
+                    assert!(
+                        n.left as usize > i && n.right as usize > i,
+                        "child index must follow its parent in flattened tree"
+                    );
+                    assert!((n.feature as usize) < n_features, "split feature out of range");
+                    q.nodes.push(QNode {
+                        threshold: quantize_threshold(n.threshold),
+                        feature: n.feature,
+                        children: [base + n.left, base + n.right],
+                    });
+                    q.value.push(0.0);
+                }
+            }
+            q.depth.push(tree_depth(tree));
+        }
         // One-time structural validation backing the unchecked loads in
         // `for_each_leaf`: every root and every child index must land
-        // inside the node array (push_tree guarantees this per tree; this
-        // re-checks the rebased ensemble-wide indices).
+        // inside the node array (checked per tree above; this re-checks
+        // the rebased ensemble-wide indices).
         let len = q.nodes.len();
         assert!(q.value.len() == len, "leaf value array out of sync");
         assert!(q.roots.iter().all(|&r| (r as usize) < len), "root index out of range");
@@ -353,13 +262,13 @@ impl QNodes {
     ///
     /// The inner loop uses unchecked loads; its indices are covered by
     /// two invariants. (1) Node cursors: each `idx[j]` starts at `root`
-    /// and only ever moves to a `children` slot, and [`Self::quantize`]
+    /// and only ever moves to a `children` slot, and [`Self::compile`]
     /// asserts every root and child index is in range once per compile.
-    /// (2) Feature gathers: every stored feature index is below the
-    /// ensemble's `min_features` (leaves store feature 0, which a
+    /// (2) Feature gathers: [`Self::compile`] asserts every split feature
+    /// is below the model's `n_features` (leaves store feature 0, which a
     /// non-empty split set makes valid; an all-leaf ensemble has
     /// `depth == 0` and never gathers), and the public entry points
-    /// assert `ncols ≥ min_features`, so
+    /// assert `ncols == n_features`, so
     /// `base[j] + feature < (start + n) · ncols ≤ rows.len()` — the
     /// debug assertion below re-states that bound.
     #[inline]
@@ -509,147 +418,35 @@ impl QNodes {
     }
 }
 
-/// A fitted [`RandomForest`] compiled for fast batched inference.
-///
-/// The default [`predict_batch`](FlatForest::predict_batch) runs the
-/// quantized `f32` path (see the module docs for the tolerance contract);
-/// [`predict_batch_exact`](FlatForest::predict_batch_exact) replays the
-/// recursive path bit-for-bit.
+/// A fitted [`GradientBoosting`] ensemble compiled for fast batched
+/// inference on the quantized `f32` layout, within the module-level
+/// tolerance contract.
 ///
 /// # Example
 ///
 /// ```
 /// use chemcost_linalg::Matrix;
-/// use chemcost_ml::flat::{FlatForest, QUANT_REL_TOL};
-/// use chemcost_ml::forest::RandomForest;
+/// use chemcost_ml::flat::{FlatGbt, QUANT_REL_TOL};
+/// use chemcost_ml::gradient_boosting::GradientBoosting;
 /// use chemcost_ml::Regressor;
 ///
 /// let x = Matrix::from_fn(60, 2, |i, j| ((i * (j + 2)) % 17) as f64);
 /// let y: Vec<f64> = (0..60).map(|i| x[(i, 0)] * 3.0 - x[(i, 1)]).collect();
-/// let mut rf = RandomForest::new(12, 6);
-/// rf.fit(&x, &y).unwrap();
+/// let mut gb = GradientBoosting::new(30, 3, 0.1);
+/// gb.fit(&x, &y).unwrap();
 ///
-/// let flat = FlatForest::compile(&rf);
-/// // The exact path is bit-for-bit the recursive model …
-/// assert_eq!(flat.predict_batch_exact(&x), rf.predict(&x));
-/// // … and the quantized default stays within the documented tolerance.
-/// for (q, e) in flat.predict_batch(&x).iter().zip(rf.predict(&x)) {
+/// let flat = FlatGbt::compile(&gb);
+/// // The quantized layout stays within the documented tolerance of the
+/// // recursive model …
+/// let batch = flat.predict_batch(&x);
+/// for (q, e) in batch.iter().zip(gb.predict(&x)) {
 ///     assert!((q - e).abs() <= QUANT_REL_TOL * (1.0 + e.abs()));
 /// }
+/// // … and single-row calls are bit-identical to the batch.
+/// assert_eq!(flat.predict_row(x.row(7)), batch[7]);
 /// ```
 #[derive(Debug, Clone)]
-pub struct FlatForest {
-    nodes: FlatNodes,
-    qnodes: QNodes,
-    /// `x.ncols()` must be at least this for prediction to be meaningful.
-    min_features: usize,
-}
-
-impl FlatForest {
-    /// Compile a fitted forest into the flat layouts.
-    ///
-    /// # Panics
-    /// Panics if the forest has not been fitted.
-    pub fn compile(rf: &RandomForest) -> FlatForest {
-        assert!(!rf.trees().is_empty(), "FlatForest::compile before fit");
-        let total: usize = rf.trees().iter().map(DecisionTree::n_nodes).sum();
-        let mut nodes = FlatNodes::with_capacity(rf.trees().len(), total);
-        for tree in rf.trees() {
-            nodes.push_tree(&tree.export_nodes());
-        }
-        let min_features = nodes.min_features();
-        let qnodes = QNodes::quantize(&nodes);
-        FlatForest { nodes, qnodes, min_features }
-    }
-
-    /// Number of trees in the compiled ensemble.
-    pub fn n_trees(&self) -> usize {
-        self.nodes.roots.len()
-    }
-
-    /// Total nodes across all trees.
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.feature.len()
-    }
-
-    /// Predict one row on the quantized path (allocation-free when warm).
-    ///
-    /// # Panics
-    /// Panics if `row` is shorter than the largest feature index used.
-    pub fn predict_row(&self, row: &[f64]) -> f64 {
-        assert!(row.len() >= self.min_features, "FlatForest::predict_row: row too short");
-        self.qnodes.score_row_f64(row, 0.0, 1.0) / self.n_trees() as f64
-    }
-
-    /// Predict every row of `x` on the quantized path, in parallel for
-    /// large batches.
-    ///
-    /// # Panics
-    /// Panics if `x` has fewer columns than the largest feature index used.
-    pub fn predict_batch(&self, x: &Matrix) -> Vec<f64> {
-        assert!(x.ncols() >= self.min_features, "FlatForest::predict_batch: too few columns");
-        let k = self.n_trees() as f64;
-        let mut out = Vec::new();
-        self.qnodes.score_batch_into(x, 0.0, 1.0, &mut out);
-        for o in &mut out {
-            *o /= k;
-        }
-        out
-    }
-
-    /// Predict one row on the exact `f64` path — bit-for-bit
-    /// [`RandomForest::predict`].
-    ///
-    /// # Panics
-    /// Panics if `row` is shorter than the largest feature index used.
-    pub fn predict_row_exact(&self, row: &[f64]) -> f64 {
-        assert!(row.len() >= self.min_features, "FlatForest::predict_row_exact: row too short");
-        self.nodes.score_row(row, 0.0, 1.0) / self.n_trees() as f64
-    }
-
-    /// Predict every row of `x` on the exact `f64` path — bit-for-bit
-    /// [`RandomForest::predict`].
-    ///
-    /// # Panics
-    /// Panics if `x` has fewer columns than the largest feature index used.
-    pub fn predict_batch_exact(&self, x: &Matrix) -> Vec<f64> {
-        assert!(x.ncols() >= self.min_features, "FlatForest::predict_batch_exact: too few columns");
-        let k = self.n_trees() as f64;
-        let mut out = self.nodes.score_batch(x, 0.0, 1.0);
-        for o in &mut out {
-            *o /= k;
-        }
-        out
-    }
-}
-
-impl Regressor for FlatForest {
-    /// Compiled models are read-only; refit the source [`RandomForest`]
-    /// and re-[`compile`](FlatForest::compile) instead.
-    fn fit(&mut self, _x: &Matrix, _y: &[f64]) -> Result<(), FitError> {
-        Err(FitError::NotTrainable("FlatForest"))
-    }
-
-    fn predict(&self, x: &Matrix) -> Vec<f64> {
-        self.predict_batch(x)
-    }
-
-    fn name(&self) -> &'static str {
-        "FlatRF"
-    }
-}
-
-/// A fitted [`GradientBoosting`] ensemble compiled for fast batched
-/// inference.
-///
-/// The default [`predict_batch`](FlatGbt::predict_batch) runs the
-/// quantized `f32` path within the module-level tolerance contract;
-/// [`predict_batch_exact`](FlatGbt::predict_batch_exact) replays
-/// `init + Σ lr · treeᵗ(row)` in stage order — the exact floating-point
-/// sequence of [`GradientBoosting::predict`], bit-for-bit.
-#[derive(Debug, Clone)]
 pub struct FlatGbt {
-    nodes: FlatNodes,
     qnodes: QNodes,
     init: f64,
     learning_rate: f64,
@@ -657,30 +454,28 @@ pub struct FlatGbt {
 }
 
 impl FlatGbt {
-    /// Compile a fitted gradient-boosting ensemble into the flat layouts.
+    /// Compile a fitted gradient-boosting ensemble into the quantized
+    /// layout.
     ///
     /// # Panics
-    /// Panics if the ensemble has no fitted stages.
+    /// Panics if the ensemble has no fitted stages, or on a malformed
+    /// tree: a child index that is out of range or does not follow its
+    /// parent, or a split feature `>= n_features`.
     pub fn compile(gb: &GradientBoosting) -> FlatGbt {
         let (init, learning_rate, n_features, trees) = gb.export();
         assert!(!trees.is_empty(), "FlatGbt::compile before fit");
-        let total: usize = trees.iter().map(Vec::len).sum();
-        let mut nodes = FlatNodes::with_capacity(trees.len(), total);
-        for tree in &trees {
-            nodes.push_tree(tree);
-        }
-        let qnodes = QNodes::quantize(&nodes);
-        FlatGbt { nodes, qnodes, init, learning_rate, n_features }
+        let qnodes = QNodes::compile(&trees, n_features);
+        FlatGbt { qnodes, init, learning_rate, n_features }
     }
 
     /// Number of boosting stages in the compiled ensemble.
     pub fn n_trees(&self) -> usize {
-        self.nodes.roots.len()
+        self.qnodes.roots.len()
     }
 
     /// Total nodes across all stages.
     pub fn n_nodes(&self) -> usize {
-        self.nodes.feature.len()
+        self.qnodes.nodes.len()
     }
 
     /// Number of features the source model was fitted on.
@@ -694,7 +489,7 @@ impl FlatGbt {
         }
     }
 
-    /// Predict one row on the quantized path (allocation-free when warm).
+    /// Predict one row (allocation-free when warm).
     ///
     /// # Panics
     /// Panics on feature-count mismatch.
@@ -703,8 +498,7 @@ impl FlatGbt {
         self.qnodes.score_row_f64(row, self.init, self.learning_rate)
     }
 
-    /// Predict every row of `x` on the quantized path, in parallel for
-    /// large batches.
+    /// Predict every row of `x`, in parallel for large batches.
     ///
     /// # Panics
     /// Panics on feature-count mismatch.
@@ -723,26 +517,6 @@ impl FlatGbt {
     pub fn predict_batch_into(&self, x: &Matrix, out: &mut Vec<f64>) {
         self.check_width(x.ncols(), "predict_batch");
         self.qnodes.score_batch_into(x, self.init, self.learning_rate, out);
-    }
-
-    /// Predict one row on the exact `f64` path — bit-for-bit
-    /// [`GradientBoosting::predict`].
-    ///
-    /// # Panics
-    /// Panics on feature-count mismatch.
-    pub fn predict_row_exact(&self, row: &[f64]) -> f64 {
-        self.check_width(row.len(), "predict_row_exact");
-        self.nodes.score_row(row, self.init, self.learning_rate)
-    }
-
-    /// Predict every row of `x` on the exact `f64` path — bit-for-bit
-    /// [`GradientBoosting::predict`].
-    ///
-    /// # Panics
-    /// Panics on feature-count mismatch.
-    pub fn predict_batch_exact(&self, x: &Matrix) -> Vec<f64> {
-        self.check_width(x.ncols(), "predict_batch_exact");
-        self.nodes.score_batch(x, self.init, self.learning_rate)
     }
 }
 
@@ -776,47 +550,14 @@ mod tests {
         (x, y)
     }
 
-    fn assert_close(quantized: &[f64], exact: &[f64]) {
-        assert_eq!(quantized.len(), exact.len());
-        for (i, (q, e)) in quantized.iter().zip(exact).enumerate() {
+    fn assert_close(quantized: &[f64], recursive: &[f64]) {
+        assert_eq!(quantized.len(), recursive.len());
+        for (i, (q, e)) in quantized.iter().zip(recursive).enumerate() {
             assert!(
                 (q - e).abs() <= QUANT_REL_TOL * (1.0 + e.abs()),
-                "row {i}: quantized {q} vs exact {e} outside QUANT_REL_TOL"
+                "row {i}: quantized {q} vs recursive {e} outside QUANT_REL_TOL"
             );
         }
-    }
-
-    #[test]
-    fn forest_exact_path_matches_recursive_exactly() {
-        let (x, y) = training_data(150);
-        let mut rf = RandomForest::new(15, 7);
-        rf.seed = 11;
-        rf.fit(&x, &y).unwrap();
-        let flat = FlatForest::compile(&rf);
-        assert_eq!(flat.predict_batch_exact(&x), rf.predict(&x));
-        assert_eq!(flat.n_trees(), 15);
-    }
-
-    #[test]
-    fn forest_quantized_path_within_tolerance() {
-        let (x, y) = training_data(150);
-        let mut rf = RandomForest::new(15, 7);
-        rf.seed = 11;
-        rf.fit(&x, &y).unwrap();
-        let flat = FlatForest::compile(&rf);
-        assert_close(&flat.predict_batch(&x), &rf.predict(&x));
-    }
-
-    #[test]
-    fn gbt_exact_path_matches_recursive_exactly() {
-        let (x, y) = training_data(120);
-        let mut gb = GradientBoosting::new(40, 4, 0.1);
-        gb.seed = 7;
-        gb.fit(&x, &y).unwrap();
-        let flat = FlatGbt::compile(&gb);
-        assert_eq!(flat.predict_batch_exact(&x), gb.predict(&x));
-        assert_eq!(flat.n_trees(), gb.n_stages());
-        assert_eq!(flat.n_features(), 3);
     }
 
     #[test]
@@ -826,13 +567,14 @@ mod tests {
         gb.seed = 7;
         gb.fit(&x, &y).unwrap();
         let flat = FlatGbt::compile(&gb);
-        assert_close(&flat.predict_batch(&x), &gb.predict(&x));
-        for i in 0..x.nrows() {
-            assert!(
-                (flat.predict_row_exact(x.row(i)) - gb.predict(&x)[i]).abs() == 0.0,
-                "exact row path must stay bit-for-bit"
-            );
-        }
+        assert_eq!(flat.n_trees(), gb.n_stages());
+        assert_eq!(flat.n_features(), 3);
+        let (_, _, _, trees) = gb.export();
+        assert_eq!(flat.n_nodes(), trees.iter().map(Vec::len).sum::<usize>());
+        let recursive = gb.predict(&x);
+        assert_close(&flat.predict_batch(&x), &recursive);
+        let rows: Vec<f64> = (0..x.nrows()).map(|i| flat.predict_row(x.row(i))).collect();
+        assert_close(&rows, &recursive);
     }
 
     #[test]
@@ -865,18 +607,17 @@ mod tests {
     #[test]
     fn large_batch_takes_parallel_path() {
         // More rows than PAR_MIN_ROWS so score_batch goes parallel; the
-        // result must be identical to the serial per-row quantized path
-        // and within tolerance of the recursive model.
+        // result must be identical to the serial per-row path and within
+        // tolerance of the recursive model.
         let (x, y) = training_data(PAR_MIN_ROWS * 4);
-        let mut rf = RandomForest::new(8, 6);
-        rf.fit(&x, &y).unwrap();
-        let flat = FlatForest::compile(&rf);
+        let mut gb = GradientBoosting::new(30, 6, 0.2);
+        gb.fit(&x, &y).unwrap();
+        let flat = FlatGbt::compile(&gb);
         let batch = flat.predict_batch(&x);
         for (i, &b) in batch.iter().enumerate() {
             assert_eq!(flat.predict_row(x.row(i)), b);
         }
-        assert_close(&batch, &rf.predict(&x));
-        assert_eq!(flat.predict_batch_exact(&x), rf.predict(&x));
+        assert_close(&batch, &gb.predict(&x));
     }
 
     #[test]
@@ -904,8 +645,15 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "before fit")]
-    fn compile_unfitted_forest_panics() {
-        let _ = FlatForest::compile(&RandomForest::new(5, 3));
+    fn compile_unfitted_gbt_panics() {
+        let _ = FlatGbt::compile(&GradientBoosting::new(5, 3, 0.1));
+    }
+
+    #[test]
+    #[should_panic(expected = "must follow its parent")]
+    fn compile_rejects_cyclic_tree() {
+        let cyclic = FlatNode { feature: 0, threshold: 0.5, left: 0, right: 0, value: 0.0 };
+        let _ = FlatGbt::compile(&GradientBoosting::from_export(0.0, 0.1, 1, &[vec![cyclic]]));
     }
 
     #[test]

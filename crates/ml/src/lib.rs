@@ -9,11 +9,10 @@
 //!   ([`adaboost`]), Gaussian processes ([`gaussian_process`]), Bayesian
 //!   ridge ([`bayesian_ridge`]) and ε-support-vector regression ([`svr`]),
 //!   all built on ordinary/ridge least squares ([`linear`]).
-//! * **Fast inference** — fitted tree ensembles compile into a contiguous
-//!   flat layout ([`flat`]) with two entry points: a quantized default
-//!   within `flat::QUANT_REL_TOL` of the recursive path, and `*_exact`
-//!   variants that stay bit-for-bit; this is what the advisor sweep and
-//!   the serving daemon query.
+//! * **Fast inference** — a fitted gradient-boosting ensemble compiles
+//!   into a contiguous quantized layout ([`flat`]) that stays within
+//!   `flat::QUANT_REL_TOL` of the recursive model; this is what the
+//!   advisor sweep and the serving daemon query.
 //! * **Metrics** — R², MAE, MAPE (§3.2) and friends in [`metrics`].
 //! * **Model selection** — K-fold cross-validation plus grid, random and
 //!   Bayesian hyper-parameter search in [`model_selection`].
@@ -72,5 +71,5 @@ pub mod tree;
 pub mod zoo;
 
 pub use dataset::Dataset;
-pub use flat::{FlatForest, FlatGbt};
+pub use flat::FlatGbt;
 pub use traits::{FitError, Regressor, UncertaintyRegressor};

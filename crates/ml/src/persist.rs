@@ -5,7 +5,7 @@
 //! invocation. This module gives the deployed GB a compact, versioned
 //! binary format: save once after training, load in microseconds.
 //!
-//! Format (little-endian, via `bytes`):
+//! Format (little-endian, written with `to_le_bytes` into a `Vec<u8>`):
 //!
 //! ```text
 //! magic  u32  = 0x43434742  ("CCGB")
@@ -26,13 +26,12 @@
 //! versions decode with [`decode_gb_full`].
 //!
 //! Decoding validates every structural field (magic, version, counts,
-//! child indices in range, split features < n_features), so arbitrary or
-//! corrupted bytes produce [`DecodeError`], never a panic — fuzzed in
-//! `tests/properties.rs`.
+//! child indices in range and after their parent, split features <
+//! n_features), so arbitrary or corrupted bytes produce [`DecodeError`],
+//! never a panic or a cyclic tree — fuzzed in `tests/properties.rs`.
 
 use crate::gradient_boosting::GradientBoosting;
 use crate::tree::FlatNode;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::path::Path;
 
 const MAGIC: u32 = 0x4343_4742;
@@ -88,43 +87,81 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// Serialize a fitted GB model to bytes (version 1, no lineage).
-pub fn encode_gb(gb: &GradientBoosting) -> Bytes {
+pub fn encode_gb(gb: &GradientBoosting) -> Vec<u8> {
     encode_gb_at(gb, None)
 }
 
 /// Serialize a fitted GB model with its [`Lineage`] trailer (version 2).
-pub fn encode_gb_with_lineage(gb: &GradientBoosting, lineage: &Lineage) -> Bytes {
+pub fn encode_gb_with_lineage(gb: &GradientBoosting, lineage: &Lineage) -> Vec<u8> {
     encode_gb_at(gb, Some(lineage))
 }
 
-fn encode_gb_at(gb: &GradientBoosting, lineage: Option<&Lineage>) -> Bytes {
+fn encode_gb_at(gb: &GradientBoosting, lineage: Option<&Lineage>) -> Vec<u8> {
     let (init, lr, n_features, trees) = gb.export();
     let node_total: usize = trees.iter().map(|t| t.len()).sum();
-    let mut buf = BytesMut::with_capacity(36 + trees.len() * 4 + node_total * 28 + 32);
-    buf.put_u32_le(MAGIC);
-    buf.put_u32_le(if lineage.is_some() { VERSION_LINEAGE } else { VERSION });
-    buf.put_f64_le(init);
-    buf.put_f64_le(lr);
-    buf.put_u32_le(n_features as u32);
-    buf.put_u32_le(trees.len() as u32);
+    let mut buf = Vec::with_capacity(36 + trees.len() * 4 + node_total * 28 + 32);
+    buf.extend_from_slice(&MAGIC.to_le_bytes());
+    let version = if lineage.is_some() { VERSION_LINEAGE } else { VERSION };
+    buf.extend_from_slice(&version.to_le_bytes());
+    buf.extend_from_slice(&init.to_le_bytes());
+    buf.extend_from_slice(&lr.to_le_bytes());
+    buf.extend_from_slice(&(n_features as u32).to_le_bytes());
+    buf.extend_from_slice(&(trees.len() as u32).to_le_bytes());
     for tree in &trees {
-        buf.put_u32_le(tree.len() as u32);
+        buf.extend_from_slice(&(tree.len() as u32).to_le_bytes());
         for n in tree {
-            buf.put_u32_le(n.feature);
-            buf.put_f64_le(n.threshold);
-            buf.put_u32_le(n.left);
-            buf.put_u32_le(n.right);
-            buf.put_f64_le(n.value);
+            buf.extend_from_slice(&n.feature.to_le_bytes());
+            buf.extend_from_slice(&n.threshold.to_le_bytes());
+            buf.extend_from_slice(&n.left.to_le_bytes());
+            buf.extend_from_slice(&n.right.to_le_bytes());
+            buf.extend_from_slice(&n.value.to_le_bytes());
         }
     }
     if let Some(l) = lineage {
-        buf.put_u64_le(l.parent_version);
-        buf.put_u32_le(l.train_rows);
-        buf.put_u32_le(l.observed_rows);
-        buf.put_u64_le(l.fit_duration_ms);
-        buf.put_u64_le(l.seed);
+        buf.extend_from_slice(&l.parent_version.to_le_bytes());
+        buf.extend_from_slice(&l.train_rows.to_le_bytes());
+        buf.extend_from_slice(&l.observed_rows.to_le_bytes());
+        buf.extend_from_slice(&l.fit_duration_ms.to_le_bytes());
+        buf.extend_from_slice(&l.seed.to_le_bytes());
     }
-    buf.freeze()
+    buf
+}
+
+/// Little-endian reader over the undecoded tail of a model buffer. The
+/// reads panic on a short buffer, so the decoder calls [`Self::need`]
+/// before every group of reads.
+struct Cursor<'a>(&'a [u8]);
+
+impl Cursor<'_> {
+    fn remaining(&self) -> usize {
+        self.0.len()
+    }
+
+    fn need(&self, n: usize) -> Result<(), DecodeError> {
+        if self.remaining() < n {
+            Err(DecodeError::Truncated)
+        } else {
+            Ok(())
+        }
+    }
+
+    fn take<const N: usize>(&mut self) -> [u8; N] {
+        let (head, rest) = self.0.split_first_chunk::<N>().expect("length checked by caller");
+        self.0 = rest;
+        *head
+    }
+
+    fn u32(&mut self) -> u32 {
+        u32::from_le_bytes(self.take())
+    }
+
+    fn u64(&mut self) -> u64 {
+        u64::from_le_bytes(self.take())
+    }
+
+    fn f64(&mut self) -> f64 {
+        f64::from_le_bytes(self.take())
+    }
 }
 
 /// Deserialize a GB model from bytes, discarding any lineage trailer.
@@ -134,27 +171,21 @@ pub fn decode_gb(buf: &[u8]) -> Result<GradientBoosting, DecodeError> {
 
 /// Deserialize a GB model plus its [`Lineage`] (version-2 files; `None`
 /// for version-1 files, which predate lineage).
-pub fn decode_gb_full(mut buf: &[u8]) -> Result<(GradientBoosting, Option<Lineage>), DecodeError> {
-    let need = |n: usize, buf: &[u8]| {
-        if buf.remaining() < n {
-            Err(DecodeError::Truncated)
-        } else {
-            Ok(())
-        }
-    };
-    need(8, buf)?;
-    if buf.get_u32_le() != MAGIC {
+pub fn decode_gb_full(buf: &[u8]) -> Result<(GradientBoosting, Option<Lineage>), DecodeError> {
+    let mut buf = Cursor(buf);
+    buf.need(8)?;
+    if buf.u32() != MAGIC {
         return Err(DecodeError::BadMagic);
     }
-    let version = buf.get_u32_le();
+    let version = buf.u32();
     if version != VERSION && version != VERSION_LINEAGE {
         return Err(DecodeError::UnsupportedVersion(version));
     }
-    need(24, buf)?;
-    let init = buf.get_f64_le();
-    let lr = buf.get_f64_le();
-    let n_features = buf.get_u32_le() as usize;
-    let n_trees = buf.get_u32_le() as usize;
+    buf.need(24)?;
+    let init = buf.f64();
+    let lr = buf.f64();
+    let n_features = buf.u32() as usize;
+    let n_trees = buf.u32() as usize;
     if n_trees > 1_000_000 {
         return Err(DecodeError::Corrupt(format!("implausible tree count {n_trees}")));
     }
@@ -163,21 +194,19 @@ pub fn decode_gb_full(mut buf: &[u8]) -> Result<(GradientBoosting, Option<Lineag
     }
     let mut trees = Vec::with_capacity(n_trees);
     for _ in 0..n_trees {
-        need(4, buf)?;
-        let n_nodes = buf.get_u32_le() as usize;
+        buf.need(4)?;
+        let n_nodes = buf.u32() as usize;
         if n_nodes == 0 {
             return Err(DecodeError::Corrupt("empty tree".into()));
         }
-        if buf.remaining() < n_nodes * 28 {
-            return Err(DecodeError::Truncated);
-        }
+        buf.need(n_nodes * 28)?;
         let mut nodes = Vec::with_capacity(n_nodes);
-        for _ in 0..n_nodes {
-            let feature = buf.get_u32_le();
-            let threshold = buf.get_f64_le();
-            let left = buf.get_u32_le();
-            let right = buf.get_u32_le();
-            let value = buf.get_f64_le();
+        for i in 0..n_nodes {
+            let feature = buf.u32();
+            let threshold = buf.f64();
+            let left = buf.u32();
+            let right = buf.u32();
+            let value = buf.f64();
             if feature != u32::MAX {
                 if left as usize >= n_nodes || right as usize >= n_nodes {
                     return Err(DecodeError::Corrupt("child index out of range".into()));
@@ -187,19 +216,27 @@ pub fn decode_gb_full(mut buf: &[u8]) -> Result<(GradientBoosting, Option<Lineag
                         "split feature {feature} >= feature count {n_features}"
                     )));
                 }
+                // The exporter writes trees in pre-order, so a child always
+                // follows its parent; anything else could form a cycle that
+                // prediction would walk forever.
+                if left as usize <= i || right as usize <= i {
+                    return Err(DecodeError::Corrupt(format!(
+                        "node {i} has a child at or before itself"
+                    )));
+                }
             }
             nodes.push(FlatNode { feature, threshold, left, right, value });
         }
         trees.push(nodes);
     }
     let lineage = if version == VERSION_LINEAGE {
-        need(32, buf)?;
+        buf.need(32)?;
         Some(Lineage {
-            parent_version: buf.get_u64_le(),
-            train_rows: buf.get_u32_le(),
-            observed_rows: buf.get_u32_le(),
-            fit_duration_ms: buf.get_u64_le(),
-            seed: buf.get_u64_le(),
+            parent_version: buf.u64(),
+            train_rows: buf.u32(),
+            observed_rows: buf.u32(),
+            fit_duration_ms: buf.u64(),
+            seed: buf.u64(),
         })
     } else {
         None
@@ -379,6 +416,39 @@ mod tests {
         bytes.extend_from_slice(&1u32.to_le_bytes()); // n_trees
         bytes.extend_from_slice(&0u32.to_le_bytes()); // n_nodes = 0
         assert!(matches!(decode_gb(&bytes), Err(DecodeError::Corrupt(_))));
+    }
+
+    #[test]
+    fn rejects_cyclic_tree() {
+        // One split node whose children both point back at itself: in
+        // range and on a valid feature, but prediction would never reach
+        // a leaf.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC.to_le_bytes());
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&1.0f64.to_le_bytes());
+        bytes.extend_from_slice(&0.1f64.to_le_bytes());
+        bytes.extend_from_slice(&4u32.to_le_bytes()); // n_features
+        bytes.extend_from_slice(&1u32.to_le_bytes()); // n_trees
+        bytes.extend_from_slice(&1u32.to_le_bytes()); // n_nodes
+        bytes.extend_from_slice(&0u32.to_le_bytes()); // feature
+        bytes.extend_from_slice(&0.5f64.to_le_bytes()); // threshold
+        bytes.extend_from_slice(&0u32.to_le_bytes()); // left
+        bytes.extend_from_slice(&0u32.to_le_bytes()); // right
+        bytes.extend_from_slice(&0.0f64.to_le_bytes()); // value
+        assert!(matches!(decode_gb(&bytes), Err(DecodeError::Corrupt(_))));
+
+        // A back edge deeper in a fitted model is rejected too.
+        let (gb, _) = fitted_gb();
+        let mut bytes = encode_gb(&gb);
+        let (_, _, _, trees) = gb.export();
+        let split = trees[0].iter().rposition(|n| n.feature != u32::MAX).unwrap();
+        let at = 32 + 4 + split * 28;
+        bytes[at + 16..at + 20].copy_from_slice(&(split as u32).to_le_bytes()); // right
+        match decode_gb(&bytes) {
+            Err(DecodeError::Corrupt(msg)) => assert!(msg.contains("child"), "{msg}"),
+            other => panic!("expected Corrupt(child), got {other:?}"),
+        }
     }
 
     #[test]

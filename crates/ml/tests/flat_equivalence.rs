@@ -1,22 +1,21 @@
-//! Equivalence battery for flat (struct-of-arrays, iterative, parallel)
-//! inference, in two tiers:
+//! Equivalence battery for flat (quantized, iterative, parallel)
+//! inference against the recursive per-tree model, which is the
+//! reference.
 //!
-//! * **Exact tier** — `predict_batch_exact` / `predict_row_exact` must
-//!   match the recursive per-tree path **bit-for-bit**: every assertion
-//!   is `==` on raw `f64`s, never a tolerance. This is PR 2's original
-//!   contract, now carried by the exact path.
-//! * **Tolerance tier** — the default quantized (`f32`) path must stay
-//!   within [`QUANT_REL_TOL`] of the recursive model on `f32`-representable
+//! * **Tolerance** — the quantized (`f32`) path must stay within
+//!   [`QUANT_REL_TOL`] of the recursive model on `f32`-representable
 //!   inputs (which the advisor's integer candidate grids always are):
 //!   thresholds quantize toward −∞ so routing is preserved exactly, and
-//!   the only error is one `f64 → f32` rounding per leaf value. Covered on
-//!   proptest-generated models and on the 750-tree paper-config ensemble.
+//!   the only error is one `f64 → f32` rounding per leaf value. NaN
+//!   features fall right on both paths. Covered on proptest-generated
+//!   models and on the 750-tree paper-config ensemble.
+//! * **Bit identity within the quantized path** — single-row, batched
+//!   and parallel (batches of at least 64 rows) calls return the same
+//!   `f64` bits, asserted with `==`.
 
 use chemcost_linalg::Matrix;
-use chemcost_ml::flat::{FlatForest, FlatGbt, QUANT_REL_TOL};
-use chemcost_ml::forest::RandomForest;
+use chemcost_ml::flat::{FlatGbt, QUANT_REL_TOL};
 use chemcost_ml::gradient_boosting::{GbLoss, GradientBoosting};
-use chemcost_ml::tree::MaxFeatures;
 use chemcost_ml::Regressor;
 use proptest::prelude::*;
 
@@ -48,48 +47,28 @@ fn queries(n: usize, d: usize) -> Matrix {
     corpus(n, d, 0xBEEF).0
 }
 
-/// Tolerance-tier assertion: quantized vs exact within `QUANT_REL_TOL`.
-fn assert_close(quantized: &[f64], exact: &[f64], what: &str) {
-    assert_eq!(quantized.len(), exact.len(), "{what}: length mismatch");
-    for (i, (q, e)) in quantized.iter().zip(exact).enumerate() {
+/// Quantized vs recursive within `QUANT_REL_TOL`.
+fn assert_close(quantized: &[f64], recursive: &[f64], what: &str) {
+    assert_eq!(quantized.len(), recursive.len(), "{what}: length mismatch");
+    for (i, (q, e)) in quantized.iter().zip(recursive).enumerate() {
         assert!(
             (q - e).abs() <= QUANT_REL_TOL * (1.0 + e.abs()),
-            "{what} row {i}: quantized {q} vs exact {e} outside QUANT_REL_TOL"
+            "{what} row {i}: quantized {q} vs recursive {e} outside QUANT_REL_TOL"
         );
-    }
-}
-
-#[test]
-fn forest_exact_equivalence_across_hyperparameters() {
-    let (x, y) = corpus(200, 4, 1);
-    let q = queries(300, 4);
-    for (n_estimators, max_depth, bootstrap, max_features) in [
-        (1, 3, true, MaxFeatures::All),
-        (25, 6, true, MaxFeatures::Sqrt),
-        (40, usize::MAX, true, MaxFeatures::Count(2)),
-        (10, 8, false, MaxFeatures::All),
-    ] {
-        let mut rf = RandomForest::new(n_estimators, max_depth);
-        rf.bootstrap = bootstrap;
-        rf.max_features = max_features;
-        rf.seed = 99;
-        rf.fit(&x, &y).unwrap();
-        let flat = FlatForest::compile(&rf);
-        assert_eq!(
-            flat.predict_batch_exact(&q),
-            rf.predict(&q),
-            "config {n_estimators}/{max_depth}"
-        );
-        assert_eq!(flat.predict_batch_exact(&x), rf.predict(&x));
-        // Tolerance tier on the same configurations.
-        assert_close(&flat.predict_batch(&q), &rf.predict(&q), "forest quantized");
     }
 }
 
 #[test]
 fn gbt_equivalence_across_losses_and_controls() {
     let (x, y) = corpus(180, 3, 2);
-    let q = queries(250, 3);
+    let mut q = queries(250, 3);
+    // Missing features: NaN must fall right at every split on both paths.
+    for i in (0..q.nrows()).step_by(9) {
+        q[(i, i % 3)] = f64::NAN;
+    }
+    for j in 0..3 {
+        q[(4, j)] = f64::NAN;
+    }
     let configs: Vec<GradientBoosting> = vec![
         GradientBoosting::new(60, 3, 0.1),
         GradientBoosting::new(10, 1, 1.0),
@@ -119,14 +98,14 @@ fn gbt_equivalence_across_losses_and_controls() {
     for mut gb in configs {
         gb.fit(&x, &y).unwrap();
         let flat = FlatGbt::compile(&gb);
-        assert_eq!(flat.predict_batch_exact(&q), gb.predict(&q), "loss {:?}", gb.loss);
-        assert_eq!(flat.predict_batch_exact(&x), gb.predict(&x));
-        assert_close(&flat.predict_batch(&q), &gb.predict(&q), "gbt quantized");
-        // Single-row paths agree with their batch counterparts and with
-        // predict_one.
-        for i in (0..q.nrows()).step_by(37) {
-            assert_eq!(flat.predict_row_exact(q.row(i)), gb.predict_one(q.row(i)));
-            assert_eq!(flat.predict_row(q.row(i)), flat.predict_batch(&q)[i]);
+        let batch = flat.predict_batch(&q);
+        assert_close(&batch, &gb.predict(&q), &format!("loss {:?}", gb.loss));
+        assert_close(&flat.predict_batch(&x), &gb.predict(&x), "gbt training rows");
+        // Single-row calls are bit-identical to the (parallel) batch and
+        // within tolerance of predict_one.
+        for i in (0..q.nrows()).step_by(37).chain([4]) {
+            assert_eq!(flat.predict_row(q.row(i)), batch[i]);
+            assert_close(&[batch[i]], &[gb.predict_one(q.row(i))], "gbt single row");
         }
     }
 }
@@ -148,9 +127,6 @@ fn equivalence_on_advisor_style_sweep_inputs() {
     let mut gb = GradientBoosting::new(120, 6, 0.1);
     gb.seed = 42;
     gb.fit(&x, &y).unwrap();
-    let mut rf = RandomForest::new(40, 10);
-    rf.seed = 42;
-    rf.fit(&x, &y).unwrap();
 
     // A dense (nodes, tile) grid at fixed (o, v) — the sweep shape.
     let nodes_grid: Vec<f64> = vec![5.0, 10.0, 20.0, 35.0, 50.0, 80.0, 120.0, 200.0, 400.0, 900.0];
@@ -161,20 +137,15 @@ fn equivalence_on_advisor_style_sweep_inputs() {
             sweep.push_row(&[116.0, 840.0, n, t]);
         }
     }
-    let flat_gb = FlatGbt::compile(&gb);
-    let flat_rf = FlatForest::compile(&rf);
-    assert_eq!(flat_gb.predict_batch_exact(&sweep), gb.predict(&sweep));
-    assert_eq!(flat_rf.predict_batch_exact(&sweep), rf.predict(&sweep));
-    assert_close(&flat_gb.predict_batch(&sweep), &gb.predict(&sweep), "gbt sweep");
-    assert_close(&flat_rf.predict_batch(&sweep), &rf.predict(&sweep), "rf sweep");
+    let flat = FlatGbt::compile(&gb);
+    assert_close(&flat.predict_batch(&sweep), &gb.predict(&sweep), "gbt sweep");
 }
 
 #[test]
 fn paper_config_model_within_tolerance() {
     // The deployed shape: the 750-estimator paper-config ensemble. The
     // quantized serving path must stay inside QUANT_REL_TOL of the
-    // recursive model across a full advisor-style sweep, and the exact
-    // path must stay bit-for-bit.
+    // recursive model across a full advisor-style sweep.
     let (x, y) = corpus(400, 4, 7);
     let x = Matrix::from_fn(x.nrows(), 4, |i, j| match j {
         0 => (40.0 + x[(i, 0)] * 3.0).round(),
@@ -194,10 +165,8 @@ fn paper_config_model_within_tolerance() {
             sweep.push_row(&[116.0, 840.0, nodes, (k * 10) as f64]);
         }
     }
-    let exact = gb.predict(&sweep);
-    assert_eq!(flat.predict_batch_exact(&sweep), exact);
-    assert_close(&flat.predict_batch(&sweep), &exact, "paper-config quantized");
-    // Row path and batch path are bit-identical within the quantized tier.
+    assert_close(&flat.predict_batch(&sweep), &gb.predict(&sweep), "paper-config quantized");
+    // Row path and batch path are bit-identical within the quantized path.
     let batch = flat.predict_batch(&sweep);
     for (i, &b) in batch.iter().enumerate() {
         assert_eq!(flat.predict_row(sweep.row(i)), b);
@@ -214,9 +183,9 @@ fn compiled_model_survives_persistence_round_trip() {
     let (init, lr, d, trees) = gb.export();
     let restored = GradientBoosting::from_export(init, lr, d, &trees);
     let q = queries(120, 4);
-    assert_eq!(FlatGbt::compile(&restored).predict_batch_exact(&q), gb.predict(&q));
+    assert_close(&FlatGbt::compile(&restored).predict_batch(&q), &gb.predict(&q), "restored");
     // The quantized layouts of original and round-tripped models must
-    // agree bit-for-bit too (same nodes in, same quantization out).
+    // agree bit-for-bit (same nodes in, same quantization out).
     assert_eq!(
         FlatGbt::compile(&restored).predict_batch(&q),
         FlatGbt::compile(&gb).predict_batch(&q)
@@ -226,8 +195,8 @@ fn compiled_model_survives_persistence_round_trip() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Randomized shapes and hyper-parameters: exact flat == recursive,
-    /// always; quantized flat within QUANT_REL_TOL, always.
+    /// Randomized shapes and hyper-parameters: quantized flat within
+    /// QUANT_REL_TOL of the recursive model, always.
     #[test]
     fn prop_flat_matches_recursive(
         n in 20usize..120,
@@ -239,28 +208,14 @@ proptest! {
         let (x, y) = corpus(n, d, seed);
         let q = queries(150, d);
 
-        let mut rf = RandomForest::new(n_estimators, max_depth);
-        rf.seed = seed;
-        rf.max_features = MaxFeatures::Sqrt;
-        rf.fit(&x, &y).unwrap();
-        let flat_rf = FlatForest::compile(&rf);
-        prop_assert_eq!(flat_rf.predict_batch_exact(&q), rf.predict(&q));
-        for (i, (qv, e)) in flat_rf.predict_batch(&q).iter().zip(rf.predict(&q)).enumerate() {
-            prop_assert!(
-                (qv - e).abs() <= QUANT_REL_TOL * (1.0 + e.abs()),
-                "rf row {} quantized {} vs exact {}", i, qv, e
-            );
-        }
-
         let mut gb = GradientBoosting::new(n_estimators, max_depth, 0.15);
         gb.seed = seed;
         gb.fit(&x, &y).unwrap();
         let flat_gb = FlatGbt::compile(&gb);
-        prop_assert_eq!(flat_gb.predict_batch_exact(&q), gb.predict(&q));
         for (i, (qv, e)) in flat_gb.predict_batch(&q).iter().zip(gb.predict(&q)).enumerate() {
             prop_assert!(
                 (qv - e).abs() <= QUANT_REL_TOL * (1.0 + e.abs()),
-                "gbt row {} quantized {} vs exact {}", i, qv, e
+                "gbt row {} quantized {} vs recursive {}", i, qv, e
             );
         }
     }

@@ -22,7 +22,7 @@
 //! 3. **Parser limits** — oversized header lines (`431`) and bodies
 //!    (`413`) are rejected mid-stream, before buffering the rest.
 //! 4. **Write high-water mark** — a connection whose response backlog
-//!    passes [`WRITE_HIGH_WATER`] stops being read until it drains, so
+//!    passes `WRITE_HIGH_WATER` stops being read until it drains, so
 //!    a slow consumer cannot balloon server memory.
 //!
 //! Graceful drain: when `POST /v1/shutdown` is handled, the loop stops

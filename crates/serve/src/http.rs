@@ -353,7 +353,7 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, HttpE
 /// request in its first `consumed` bytes, `Ok(None)` when more bytes are
 /// needed, and `Err` when the bytes already received can never become a
 /// well-formed request. Limits are enforced incrementally: a header line
-/// beyond [`MAX_LINE`] bytes, more than [`MAX_HEADERS`] headers, or a
+/// beyond `MAX_LINE` bytes, more than `MAX_HEADERS` headers, or a
 /// declared body beyond [`MAX_BODY`] are rejected as soon as the
 /// offending bytes arrive, even mid-request. This is the parser behind
 /// the event loop's per-connection state machine; the grammar is shared

@@ -7,7 +7,7 @@
 //! minimal text form (no pretty-printing): non-finite numbers encode as
 //! `null`, since JSON has no representation for them.
 //!
-//! For the serving hot paths there is also a borrowing [`Scanner`]: a
+//! For the serving hot paths there is also a borrowing `Scanner`: a
 //! flat cursor over the request text that yields `&str` slices and
 //! `f64`s without building a [`Json`] tree — the predict/advise handlers
 //! scan the canonical body shapes allocation-free and fall back to the

@@ -57,10 +57,9 @@ pub struct ResolvedModel {
     pub name: String,
     /// The shared trained model (recursive representation).
     pub model: Arc<GradientBoosting>,
-    /// The same ensemble compiled into the flat fast-inference layout;
-    /// predictions agree with `model`'s within
-    /// `chemcost_ml::flat::QUANT_REL_TOL` (the quantized default path),
-    /// bit-for-bit on the `*_exact` entry points.
+    /// The same ensemble compiled into the quantized flat
+    /// fast-inference layout; predictions agree with `model`'s within
+    /// `chemcost_ml::flat::QUANT_REL_TOL`.
     pub flat: Arc<FlatGbt>,
     /// Load generation.
     pub version: u64,

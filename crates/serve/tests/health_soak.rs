@@ -9,7 +9,8 @@
 //!   obs events from the same run;
 //! * the self-scrape snapshot path stays internally consistent under an
 //!   8-thread writer stress (no torn counter/histogram pairs) and the
-//!   delta ring never exceeds its byte budget;
+//!   ring never exceeds its capacity while replaying exactly what was
+//!   pushed;
 //! * the paired connection-state gauges return to zero after a
 //!   keep-alive soak drains through forced close-on-shutdown.
 
@@ -195,8 +196,9 @@ fn scrapes_stay_consistent_and_ring_bounded_under_writer_stress() {
     let metrics = Arc::new(Metrics::new());
     let sampler = MetricsSampler::new(&metrics);
     let schema = Arc::clone(sampler.schema());
-    let budget = 8 * 1024;
-    let ring = Ring::new(Arc::clone(&schema), budget, 60_000_000);
+    let capacity = 32;
+    let ring = Ring::new(Arc::clone(&schema), capacity, 60_000_000);
+    let mut pushed = Vec::new();
 
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let writers: Vec<_> = (0..8)
@@ -253,12 +255,9 @@ fn scrapes_stay_consistent_and_ring_bounded_under_writer_stress() {
         }
         prev_counters = Some(sample.counters.clone());
         ring.push(&sample);
+        pushed.push(sample);
         let stats = ring.stats();
-        assert!(
-            stats.bytes <= budget || stats.len <= 1,
-            "ring over budget at scrape {i}: {} bytes > {budget}",
-            stats.bytes
-        );
+        assert!(stats.len <= capacity, "ring over capacity at scrape {i}: {}", stats.len);
     }
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     for w in writers {
@@ -266,7 +265,9 @@ fn scrapes_stay_consistent_and_ring_bounded_under_writer_stress() {
     }
     let stats = ring.stats();
     assert!(stats.appended == 400);
-    assert!(stats.evicted > 0, "8 KiB budget must have forced evictions ({} bytes)", stats.bytes);
+    assert_eq!(stats.evicted, 400 - capacity as u64, "capacity must have forced evictions");
+    // Replay is exact: the retained samples are the newest ones pushed.
+    assert_eq!(ring.samples_since(0), pushed[400 - capacity..]);
 }
 
 #[test]
