@@ -187,11 +187,6 @@ impl HealthHub {
         self.engine.lock().unwrap().breaching_count()
     }
 
-    /// Retained samples since `since_unix_us` (0 = all).
-    pub fn samples_since(&self, since_unix_us: u64) -> Vec<Sample> {
-        self.ring.samples_since(since_unix_us)
-    }
-
     /// Aggregate verdict across all SLOs.
     pub fn verdict(&self) -> Verdict {
         let engine = self.engine.lock().unwrap();
@@ -440,7 +435,7 @@ mod tests {
         assert_eq!(stats.len, MAX_RING_SAMPLES);
         assert_eq!(stats.evicted, 500);
         // The newest samples are the ones kept.
-        let kept = hub.samples_since(0);
+        let kept = hub.ring.with_samples(|s| s.to_vec());
         assert_eq!(kept.first().unwrap().counters[0], 500);
         assert_eq!(kept.last().unwrap().counters[0], MAX_RING_SAMPLES as u64 + 499);
     }

@@ -62,12 +62,16 @@ impl Ring {
     /// within the capacity and retention window.
     pub fn push(&self, sample: &Sample) {
         let mut inner = self.inner.lock().unwrap();
+        // Make room first so the deque never grows past `capacity`.
+        while inner.samples.len() >= self.capacity {
+            inner.samples.pop_front();
+            inner.evicted += 1;
+        }
         inner.samples.push_back(sample.clone());
         inner.appended += 1;
         let newest = sample.unix_us;
-        while inner.samples.len() > self.capacity
-            || (inner.samples.len() > 1
-                && newest.saturating_sub(inner.samples[0].unix_us) > self.retention_us)
+        while inner.samples.len() > 1
+            && newest.saturating_sub(inner.samples[0].unix_us) > self.retention_us
         {
             inner.samples.pop_front();
             inner.evicted += 1;
@@ -79,13 +83,6 @@ impl Ring {
     pub fn with_samples<R>(&self, f: impl FnOnce(&[Sample]) -> R) -> R {
         let mut inner = self.inner.lock().unwrap();
         f(inner.samples.make_contiguous())
-    }
-
-    /// Copies of every retained sample with `unix_us >= since_unix_us`,
-    /// oldest first. Pass `0` for the full history.
-    pub fn samples_since(&self, since_unix_us: u64) -> Vec<Sample> {
-        let inner = self.inner.lock().unwrap();
-        inner.samples.iter().filter(|s| s.unix_us >= since_unix_us).cloned().collect()
     }
 
     /// Current accounting.
@@ -140,19 +137,7 @@ mod tests {
         for s in &samples {
             ring.push(s);
         }
-        assert_eq!(ring.samples_since(0), samples);
         assert_eq!(ring.with_samples(|s| s.to_vec()), samples);
-    }
-
-    #[test]
-    fn since_filter_slices_by_timestamp() {
-        let ring = Ring::new(schema(), 1024, u64::MAX);
-        for i in 0..10u64 {
-            ring.push(&sample(i * 1_000_000, i));
-        }
-        let tail = ring.samples_since(7_000_000);
-        assert_eq!(tail.len(), 3);
-        assert_eq!(tail[0].unix_us, 7_000_000);
     }
 
     #[test]
@@ -174,7 +159,7 @@ mod tests {
         assert_eq!(stats.evicted, 184);
         // Retained samples are exactly the newest 16 that were pushed.
         let expected: Vec<Sample> = (184..200u64).map(|i| sample(i * 1_000_000, i * 3)).collect();
-        assert_eq!(ring.samples_since(0), expected);
+        assert_eq!(ring.with_samples(|s| s.to_vec()), expected);
     }
 
     #[test]
@@ -187,7 +172,7 @@ mod tests {
         let stats = ring.stats();
         assert!(stats.len <= 6, "kept {} entries", stats.len);
         assert!(stats.span_us <= 5_000_000);
-        let replay = ring.samples_since(0);
+        let replay = ring.with_samples(|s| s.to_vec());
         assert_eq!(replay.last().unwrap().unix_us, 59_000_000);
     }
 
@@ -196,6 +181,6 @@ mod tests {
         let ring = Ring::new(schema(), 0, 0);
         ring.push(&sample(0, 1));
         ring.push(&sample(10_000_000, 2));
-        assert_eq!(ring.samples_since(0), vec![sample(10_000_000, 2)]);
+        assert_eq!(ring.with_samples(|s| s.to_vec()), vec![sample(10_000_000, 2)]);
     }
 }

@@ -5,7 +5,7 @@
 //! the schema is derived from the `health` keys of the metric family
 //! table ([`FAMILIES`]) — plus the built-in SLOs and the background
 //! sampler thread that self-scrapes the registry every
-//! `--scrape-interval-ms` into the hub's delta-compressed ring.
+//! `--scrape-interval-ms` into the hub's bounded ring of samples.
 //!
 //! Schema series names are stable, dot-separated, and documented in
 //! `docs/HEALTH.md`; `--slo-file` rules reference them by name or

@@ -267,7 +267,7 @@ fn scrapes_stay_consistent_and_ring_bounded_under_writer_stress() {
     assert!(stats.appended == 400);
     assert_eq!(stats.evicted, 400 - capacity as u64, "capacity must have forced evictions");
     // Replay is exact: the retained samples are the newest ones pushed.
-    assert_eq!(ring.samples_since(0), pushed[400 - capacity..]);
+    assert_eq!(ring.with_samples(|s| s.to_vec()), pushed[400 - capacity..]);
 }
 
 #[test]
