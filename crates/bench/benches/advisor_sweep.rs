@@ -1,8 +1,9 @@
-//! The PR's headline benchmark: advisor candidate-sweep inference,
-//! recursive vs. flat (struct-of-arrays) vs. flat batched.
+//! Advisor candidate-sweep inference: recursive vs. the flat quantized
+//! layout, per row, batched, and as a grid.
 //!
-//! Four inference strategies over the same fitted ensemble and the same
-//! ~465-row candidate matrix the advisor sweeps per question:
+//! Five inference strategies over the same fitted ensemble and the same
+//! 465-row (31 node counts × 15 tiles) candidate grid the advisor sweeps
+//! per question:
 //!
 //! * `recursive_per_row` — the naive path: `predict_one` per candidate,
 //!   pointer-chasing `Node` enums for every tree.
@@ -10,9 +11,13 @@
 //!   (per-tree recursion, batched outer loop).
 //! * `flat_per_row` — `FlatGbt::predict_row` per candidate: iterative
 //!   traversal over the contiguous node arrays.
-//! * `flat_batched` — `FlatGbt::predict_batch`: the serving hot path,
-//!   rows parallelised over the worker pool. Target: ≥5× over
-//!   `recursive_batched`.
+//! * `flat_batched` — `FlatGbt::predict_batch` over the materialised
+//!   matrix: tree-major, with the trees split over the worker pool for
+//!   batches of 64 rows or more. `/v1/predict` batches take this path.
+//! * `flat_grid` — `FlatGbt::predict_grid`: one descent per tree over
+//!   rectangles of the (nodes, tile) axes, bit-identical to
+//!   `flat_batched`. `Advisor::sweep`, and so every `/v1/advise` cache
+//!   miss, takes this path.
 //!
 //! Plus an end-to-end group timing `Advisor::answer` (which now sweeps
 //! once through whatever `Regressor` it wraps) with the recursive vs.
@@ -65,6 +70,13 @@ fn bench_sweep_inference(c: &mut Criterion) {
         assert!((q - e).abs() <= QUANT_REL_TOL * (1.0 + e.abs()));
     }
 
+    // The grid descent must reproduce the batch bit for bit.
+    let axis = |g: Vec<usize>| g.into_iter().map(|k| k as f64).collect::<Vec<f64>>();
+    let (nodes, tiles) = (axis(node_candidates()), axis(tile_candidates()));
+    let mut grid = Vec::new();
+    flat.predict_grid(&[116.0, 840.0], &nodes, &tiles, &mut grid);
+    assert_eq!(grid, flat.predict_batch(&x));
+
     let mut group = c.benchmark_group("advisor_sweep_inference");
     group.sample_size(10);
     group.throughput(Throughput::Elements(n_rows as u64));
@@ -89,6 +101,12 @@ fn bench_sweep_inference(c: &mut Criterion) {
     });
     group.bench_function("flat_batched", |b| {
         b.iter(|| black_box(flat.predict_batch(black_box(&x))))
+    });
+    group.bench_function("flat_grid", |b| {
+        b.iter(|| {
+            flat.predict_grid(black_box(&[116.0, 840.0]), &nodes, &tiles, &mut grid);
+            black_box(&grid);
+        })
     });
     group.finish();
 }

@@ -10,14 +10,15 @@
 //! Every question ([`Advisor::answer`], [`Advisor::pareto_frontier`], the
 //! budget/deadline variants) is a different reduction over the *same*
 //! predictions, so the advisor materialises one [`Sweep`] per problem: the
-//! feasible candidate matrix is built once and the model is asked for all
-//! candidates in a **single batched `predict` call**, which lets batched
-//! backends (notably the flat ensembles in `chemcost_ml::flat`) evaluate
-//! rows × trees in parallel instead of pointer-chasing per candidate.
-//! Callers answering several questions about one problem (as the serve
-//! daemon's `/v1/advise` does for goal + budget + deadline) should call
-//! [`Advisor::sweep`] once and reduce the result, paying for exactly one
-//! model evaluation.
+//! feasible node counts and the tile grid are crossed once and the model
+//! is asked for every candidate in a **single
+//! [`Regressor::predict_grid`] call**. The candidates differ only in
+//! `(nodes, tile)`, so a grid-aware backend (the flat ensemble in
+//! `chemcost_ml::flat`) scores the whole product with one descent per
+//! tree instead of one walk per candidate. Callers answering several
+//! questions about one problem (as the serve daemon's `/v1/advise` does
+//! for goal + budget + deadline) should call [`Advisor::sweep`] once and
+//! reduce the result, paying for exactly one model evaluation.
 //!
 //! # Memory feasibility
 //!
@@ -125,68 +126,42 @@ impl<'a> Advisor<'a> {
         self
     }
 
-    /// Every memory-feasible candidate configuration for a problem.
-    ///
-    /// Feasibility is per node count (see the module docs); the `Problem`
-    /// is built once and each surviving node count is crossed with the
-    /// whole tile grid.
-    pub fn candidates(&self, o: usize, v: usize) -> Vec<(usize, usize)> {
+    /// The node counts of the grid at which the problem's tensors fit in
+    /// memory (see the module docs), in grid order.
+    fn feasible_nodes(&self, o: usize, v: usize) -> Vec<usize> {
         let p = Problem::new(o, v);
-        let feasible_nodes: Vec<usize> = self
-            .nodes_grid
-            .iter()
-            .copied()
-            .filter(|&n| fits_in_memory(&p, n, &self.machine))
-            .collect();
-        let mut out = Vec::with_capacity(feasible_nodes.len() * self.tiles_grid.len());
-        for &n in &feasible_nodes {
-            for &t in &self.tiles_grid {
-                out.push((n, t));
-            }
-        }
-        out
+        self.nodes_grid.iter().copied().filter(|&n| fits_in_memory(&p, n, &self.machine)).collect()
     }
 
-    /// Evaluate the model over every feasible candidate in **one batched
-    /// `predict` call** and return the reusable [`Sweep`].
+    /// Every memory-feasible candidate configuration for a problem: each
+    /// feasible node count crossed with the whole tile grid.
+    pub fn candidates(&self, o: usize, v: usize) -> Vec<(usize, usize)> {
+        cross(&self.feasible_nodes(o, v), &self.tiles_grid)
+    }
+
+    /// Evaluate the model over every feasible candidate in **one
+    /// [`Regressor::predict_grid`] call** — `(o, v)` fixed, feasible node
+    /// counts × tiles — and return the reusable [`Sweep`].
     ///
     /// Every question this advisor answers is a reduction over the sweep;
     /// callers with several questions about the same problem should sweep
     /// once and reduce many times.
     pub fn sweep(&self, o: usize, v: usize) -> Sweep {
-        self.sweep_with(o, v, |x| self.model.predict(&x))
-    }
-
-    /// Like [`Advisor::sweep`] but evaluating the candidate matrix
-    /// through `eval` instead of this advisor's own model. This is how
-    /// a serving layer routes the sweep through shared machinery (e.g.
-    /// a micro-batcher coalescing concurrent evaluations) while reusing
-    /// the candidate enumeration and `Sweep` reductions unchanged —
-    /// `eval` must return one predicted-seconds value per matrix row.
-    /// The matrix is handed over by value (it is built here and used
-    /// exactly once) so an owning consumer needs no defensive clone.
-    pub fn sweep_with<F>(&self, o: usize, v: usize, eval: F) -> Sweep
-    where
-        F: FnOnce(Matrix) -> Vec<f64>,
-    {
-        let candidates = self.candidates(o, v);
-        let seconds = if candidates.is_empty() {
-            Vec::new()
-        } else {
-            let x = Matrix::from_fn(candidates.len(), 4, |i, j| match j {
-                0 => o as f64,
-                1 => v as f64,
-                2 => candidates[i].0 as f64,
-                _ => candidates[i].1 as f64,
-            });
-            let seconds = eval(x);
-            assert_eq!(
-                seconds.len(),
-                candidates.len(),
-                "sweep_with eval must return one value per candidate row"
-            );
-            seconds
-        };
+        let nodes = self.feasible_nodes(o, v);
+        let candidates = cross(&nodes, &self.tiles_grid);
+        let axis = |g: &[usize]| g.iter().map(|&k| k as f64).collect::<Vec<f64>>();
+        let mut seconds = Vec::new();
+        self.model.predict_grid(
+            &[o as f64, v as f64],
+            &axis(&nodes),
+            &axis(&self.tiles_grid),
+            &mut seconds,
+        );
+        assert_eq!(
+            seconds.len(),
+            candidates.len(),
+            "predict_grid must return one value per candidate"
+        );
         Sweep { candidates, seconds }
     }
 
@@ -235,6 +210,12 @@ impl<'a> Advisor<'a> {
     pub fn answer_bq(&self, o: usize, v: usize) -> Option<Recommendation> {
         self.answer(o, v, Goal::Budget)
     }
+}
+
+/// Every `(n, t)` pair, node-major: the row order of
+/// [`Regressor::predict_grid`] over `nodes × tiles`.
+fn cross(nodes: &[usize], tiles: &[usize]) -> Vec<(usize, usize)> {
+    nodes.iter().flat_map(|&n| tiles.iter().map(move |&t| (n, t))).collect()
 }
 
 /// One batched model evaluation over every feasible candidate of a
@@ -724,6 +705,49 @@ mod tests {
                     bf.iter().any(|rb| close(rb.predicted_seconds, ra.predicted_seconds)),
                     "frontier point lost at ({o},{v}): {ra:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn flat_sweep_is_bit_identical_to_batch_over_candidates() {
+        // `Advisor::sweep` scores the grid through `predict_grid`; on the
+        // flat model that must reproduce `predict_batch` over the
+        // materialised candidate matrix bit for bit, on the default grids
+        // and on custom ones that arrive unsorted and with duplicates.
+        use chemcost_ml::flat::FlatGbt;
+        use chemcost_ml::gradient_boosting::GradientBoosting;
+        let machine = aurora();
+        let samples = chemcost_sim::datagen::generate_dataset_sized(&machine, 250, 5);
+        let mut x = Matrix::zeros(0, 4);
+        let mut y = Vec::new();
+        for s in &samples {
+            x.push_row(&s.features());
+            y.push(s.seconds);
+        }
+        let mut gb = GradientBoosting::new(60, 6, 0.1);
+        gb.seed = 9;
+        gb.fit(&x, &y).unwrap();
+        let flat = FlatGbt::compile(&gb);
+        let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<u64>>();
+        let advisors = [
+            Advisor::new(&flat, machine.clone()),
+            Advisor::new(&flat, machine.clone())
+                .with_grids(vec![300, 20, 5, 20, 900, 50, 110], vec![120, 40, 90, 40, 180]),
+        ];
+        for advisor in &advisors {
+            for &(o, v) in &[(116usize, 840usize), (44, 260), (280, 1040), (350, 1600)] {
+                let sweep = advisor.sweep(o, v);
+                let cands = advisor.candidates(o, v);
+                assert_eq!(sweep.candidates(), &cands[..]);
+                assert!(!cands.is_empty());
+                let m = Matrix::from_fn(cands.len(), 4, |i, j| match j {
+                    0 => o as f64,
+                    1 => v as f64,
+                    2 => cands[i].0 as f64,
+                    _ => cands[i].1 as f64,
+                });
+                assert_eq!(bits(sweep.seconds()), bits(&flat.predict_batch(&m)), "({o},{v})");
             }
         }
     }

@@ -9,15 +9,31 @@
 //!
 //! [`FlatGbt::compile`] turns a fitted [`GradientBoosting`] ensemble into
 //! one quantized layout (`QNodes`): 16-byte array-of-structs nodes (`f32`
-//! threshold, feature, two child indices) plus a separate `f32`
-//! leaf-value array, trees concatenated and addressed by root offset.
-//! Rows are converted to `f32` once per batch, and leaves are stored as
-//! ordinary self-loop nodes so the 8-lane interleaved stepper needs no
-//! leaf test at all: it runs a fixed, per-tree-depth count of uniform
+//! threshold, feature, two child indices), trees concatenated and
+//! addressed by root offset. Rows are converted to `f32` once per batch,
+//! and leaves are stored as ordinary self-loop nodes whose threshold slot
+//! holds the leaf value, so the 8-lane interleaved stepper needs no leaf
+//! test at all: it runs a fixed, per-tree-depth count of uniform
 //! load→compare→select steps (bounds checks hoisted to one-time
 //! compile-side validation), giving the core eight independent
 //! dependent-load chains to overlap while a deep ensemble streams
 //! through cache.
+//!
+//! # Grid evaluation
+//!
+//! The advisor asks one question per request: score every `(nodes, tile)`
+//! candidate at a fixed `(O, V)`. [`FlatGbt::predict_grid`] scores that
+//! cartesian product without materialising its rows: one depth-first
+//! descent per tree over *rectangles* of the two sorted axes. A split on a
+//! fixed feature is one compare, a split on an axis cuts that axis's index
+//! range in two, and a leaf adds its weighted value to every cell of its
+//! rectangle. Each cell still receives exactly one leaf per tree, in tree
+//! order, through the same `f32` comparisons, so the result is
+//! bit-identical to [`FlatGbt::predict_batch`] on the materialised grid —
+//! while a tree costs only the nodes its rectangles reach (84 per tree,
+//! 28 of them leaves, for the 465-candidate sweep on the `advisor_sweep`
+//! bench's paper-config model) instead of up to `rows × depth` = 4,650
+//! row steps.
 //!
 //! The recursive [`GradientBoosting::predict`] is the reference this
 //! layout is tested against.
@@ -122,20 +138,19 @@ struct QNode {
     children: [u32; 2],
 }
 
-/// The quantized ensemble: array-of-structs nodes plus a separate leaf
-/// value array (leaf values are only touched once per row × tree, at the
-/// end of a descent — keeping them out of [`QNode`] keeps the hot
-/// traversal stream dense).
+/// The quantized ensemble: array-of-structs nodes, trees concatenated.
 ///
 /// Quantized leaves are stored as *ordinary* nodes that compare feature 0
-/// against `+∞` and route to themselves, so the traversal loop needs no
-/// leaf test at all: it steps every lane exactly [`QNodes::depth`] times
-/// (the tree's longest root-to-leaf path) and lands on a leaf by
-/// construction, with finished rows self-looping harmlessly.
+/// against their own value and route to themselves either way, so the
+/// traversal loop needs no leaf test at all: it steps every lane exactly
+/// [`QNodes::depth`] times (the tree's longest root-to-leaf path) and
+/// lands on a leaf by construction, with finished rows self-looping
+/// harmlessly. The leaf value lives in the threshold slot, so reading it
+/// reuses the node the last step already loaded; a node is a leaf iff its
+/// first child is itself (split children always follow their parent).
 #[derive(Debug, Clone)]
 struct QNodes {
     nodes: Vec<QNode>,
-    value: Vec<f32>,
     roots: Vec<u32>,
     /// Per tree: the number of split steps on its longest root-to-leaf
     /// path. Walking exactly this many uniform steps from the root is
@@ -143,14 +158,64 @@ struct QNodes {
     depth: Vec<u32>,
 }
 
-/// Reusable per-thread scratch for the quantized batch path: the `f32`
-/// row-major copy of the input and the per-tree leaf buffer. Thread-local
-/// so warm steady-state batches allocate nothing.
+/// Reusable per-thread scratch for the quantized paths: the `f32`
+/// row-major copy of the input and the per-tree leaf buffer of the batch
+/// path, and the sorted axes, cell accumulator and rectangle stack of the
+/// grid path. Thread-local so warm steady-state calls allocate nothing.
 #[derive(Default)]
 struct QScratch {
     rows: Vec<f32>,
     leaves: Vec<f32>,
     row: Vec<f32>,
+    grid: GridScratch,
+}
+
+/// One sorted grid axis: its `f32` values ascending with NaN last, and
+/// the caller's index of each.
+#[derive(Default)]
+struct Axis {
+    values: Vec<f32>,
+    order: Vec<u32>,
+}
+
+impl Axis {
+    /// Sort `values` (as `f32`) ascending with every NaN last. NaN routes
+    /// right at every split and `x <= t` holds on a prefix of the
+    /// non-NaN values, so each split's left cells are a prefix of any
+    /// index range. Ties may land in any order: equal values route alike.
+    fn sort(&mut self, values: &[f64]) {
+        let key = |i: u32| values[i as usize] as f32;
+        self.order.clear();
+        self.order.extend(0..values.len() as u32);
+        self.order.sort_unstable_by(|&i, &j| {
+            let (x, y) = (key(i), key(j));
+            x.is_nan().cmp(&y.is_nan()).then(x.total_cmp(&y))
+        });
+        self.values.clear();
+        self.values.extend(self.order.iter().map(|&i| key(i)));
+    }
+}
+
+/// Scratch of [`QNodes::score_grid`].
+#[derive(Default)]
+struct GridScratch {
+    fixed: Vec<f32>,
+    a: Axis,
+    b: Axis,
+    /// Cell sums in sorted-axis order, row-major `a × b`.
+    acc: Vec<f64>,
+    stack: Vec<Rect>,
+}
+
+/// A pending piece of the grid descent: a node and the sorted-axis index
+/// ranges `a0..a1 × b0..b1` of the cells that reach it.
+#[derive(Clone, Copy)]
+struct Rect {
+    node: u32,
+    a0: u32,
+    a1: u32,
+    b0: u32,
+    b1: u32,
 }
 
 thread_local! {
@@ -161,10 +226,11 @@ impl QNodes {
     /// Quantize per-tree exported nodes: thresholds round toward −∞ (see
     /// [`quantize_threshold`]), leaf values round to nearest `f32`, and
     /// child indices are rebased to the ensemble-wide address space.
-    /// Leaves become uniform self-loop nodes (`feature 0` vs `+∞`, both
-    /// children pointing back at themselves) so the traversal loops never
-    /// have to distinguish them, and each tree's maximum descent depth is
-    /// recorded so those loops can run a fixed number of steps.
+    /// Leaves become uniform self-loop nodes (`feature 0` vs the leaf
+    /// value, both children pointing back at themselves) so the stepping
+    /// loops never have to distinguish them, and each tree's maximum
+    /// descent depth is recorded so those loops can run a fixed number of
+    /// steps.
     ///
     /// # Panics
     /// Panics on an empty tree, a child index that is out of range or
@@ -173,7 +239,6 @@ impl QNodes {
         let total = trees.iter().map(Vec::len).sum();
         let mut q = QNodes {
             nodes: Vec::with_capacity(total),
-            value: Vec::with_capacity(total),
             roots: Vec::with_capacity(trees.len()),
             depth: Vec::with_capacity(trees.len()),
         };
@@ -185,11 +250,10 @@ impl QNodes {
                 if n.feature == LEAF {
                     let abs = base + i as u32;
                     q.nodes.push(QNode {
-                        threshold: f32::INFINITY,
+                        threshold: n.value as f32,
                         feature: 0,
                         children: [abs, abs],
                     });
-                    q.value.push(n.value as f32);
                 } else {
                     assert!(
                         (n.left as usize) < tree.len() && (n.right as usize) < tree.len(),
@@ -205,7 +269,6 @@ impl QNodes {
                         feature: n.feature,
                         children: [base + n.left, base + n.right],
                     });
-                    q.value.push(0.0);
                 }
             }
             q.depth.push(tree_depth(tree));
@@ -215,7 +278,6 @@ impl QNodes {
         // inside the node array (checked per tree above; this re-checks
         // the rebased ensemble-wide indices).
         let len = q.nodes.len();
-        assert!(q.value.len() == len, "leaf value array out of sync");
         assert!(q.roots.iter().all(|&r| (r as usize) < len), "root index out of range");
         assert!(
             q.nodes
@@ -226,19 +288,19 @@ impl QNodes {
         q
     }
 
-    /// Walk one tree for one `f32` row; returns the leaf's node index.
+    /// Walk one tree for one `f32` row; returns the leaf's value.
     /// Runs exactly `depth` uniform steps — leaves self-loop, so landing
     /// early just spins in place (see [`QNodes`]).
     #[inline]
     #[allow(clippy::neg_cmp_op_on_partial_ord)] // deliberate: NaN must fall right
-    fn leaf_index(&self, root: u32, depth: u32, row: &[f32]) -> usize {
+    fn leaf_value(&self, root: u32, depth: u32, row: &[f32]) -> f32 {
         let mut i = root as usize;
         for _ in 0..depth {
             let n = self.nodes[i];
             let go_right = !(row[n.feature as usize] <= n.threshold) as usize;
             i = n.children[go_right] as usize;
         }
-        i
+        self.nodes[i].threshold
     }
 
     /// Accumulate `init + Σ weight · tree(row)` in tree order, in `f64`.
@@ -246,7 +308,7 @@ impl QNodes {
     fn score_row(&self, row: &[f32], init: f64, weight: f64) -> f64 {
         let mut acc = init;
         for (&root, &depth) in self.roots.iter().zip(&self.depth) {
-            acc += weight * self.value[self.leaf_index(root, depth, row)] as f64;
+            acc += weight * self.leaf_value(root, depth, row) as f64;
         }
         acc
     }
@@ -307,13 +369,13 @@ impl QNodes {
                 }
             }
             for j in 0..LANES {
-                sink(k + j, self.value[idx[j]]);
+                sink(k + j, self.nodes[idx[j]].threshold);
             }
             k += LANES;
         }
         while k < n {
             let row = &rows[(start + k) * ncols..(start + k + 1) * ncols];
-            sink(k, self.value[self.leaf_index(root, depth, row)]);
+            sink(k, self.leaf_value(root, depth, row));
             k += 1;
         }
     }
@@ -404,6 +466,71 @@ impl QNodes {
                 }
             }
         });
+    }
+
+    /// Score the grid `fixed ++ [a[i], b[j]]` into `g.acc` (row-major,
+    /// sorted-axis order) with one depth-first descent per tree over
+    /// rectangles of the two sorted axes `g.a` and `g.b`, which must both
+    /// be non-empty.
+    ///
+    /// A fixed-feature split routes the whole rectangle one way; an axis
+    /// split cuts that axis's range at the first value not `<=` the
+    /// threshold (NaN sorts last, so it falls right); a leaf adds
+    /// `weight · value` to each cell of its rectangle. Every cell gets
+    /// exactly one leaf per tree, trees in order, so each cell accumulates
+    /// the identical `f64` sequence to [`Self::score_row`].
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // deliberate: NaN must fall right
+    fn score_grid(&self, g: &mut GridScratch, init: f64, weight: f64) {
+        let GridScratch { fixed, a, b, acc, stack } = g;
+        let (a, b) = (&a.values[..], &b.values[..]);
+        let nf = fixed.len() as u32;
+        let nb = b.len();
+        acc.clear();
+        acc.resize(a.len() * nb, init);
+        for &root in &self.roots {
+            stack.push(Rect { node: root, a0: 0, a1: a.len() as u32, b0: 0, b1: nb as u32 });
+            while let Some(mut r) = stack.pop() {
+                loop {
+                    let n = self.nodes[r.node as usize];
+                    if n.children[0] == r.node {
+                        let w = weight * n.threshold as f64;
+                        for i in r.a0 as usize..r.a1 as usize {
+                            for cell in &mut acc[i * nb + r.b0 as usize..i * nb + r.b1 as usize] {
+                                *cell += w;
+                            }
+                        }
+                        break;
+                    }
+                    if n.feature < nf {
+                        let go_right = !(fixed[n.feature as usize] <= n.threshold) as usize;
+                        r.node = n.children[go_right];
+                        continue;
+                    }
+                    let on_a = n.feature == nf;
+                    let (axis, lo, hi) = if on_a { (a, r.a0, r.a1) } else { (b, r.b0, r.b1) };
+                    let range = &axis[lo as usize..hi as usize];
+                    let cut = lo + range.partition_point(|&x| x <= n.threshold) as u32;
+                    let (mut left, mut right) = (r, r);
+                    left.node = n.children[0];
+                    right.node = n.children[1];
+                    if on_a {
+                        (left.a1, right.a0) = (cut, cut);
+                    } else {
+                        (left.b1, right.b0) = (cut, cut);
+                    }
+                    // Follow a non-empty side directly; park the right
+                    // side only when both hold cells.
+                    r = if cut == lo {
+                        right
+                    } else {
+                        if cut < hi {
+                            stack.push(right);
+                        }
+                        left
+                    };
+                }
+            }
+        }
     }
 
     /// Score one `f64` row through the quantized ensemble, converting it
@@ -518,6 +645,43 @@ impl FlatGbt {
         self.check_width(x.ncols(), "predict_batch");
         self.qnodes.score_batch_into(x, self.init, self.learning_rate, out);
     }
+
+    /// Score the cartesian product `fixed ++ [a[i], b[j]]` into `out`,
+    /// row `i · b.len() + j` — the advisor's sweep shape, a fixed `(O, V)`
+    /// crossed with `(nodes, tile)` candidates — without materialising
+    /// its rows (see the module docs). Axes may come in any order and may
+    /// hold duplicates or NaN; every result is bit-identical to
+    /// [`FlatGbt::predict_batch`] on the materialised matrix. `out` is
+    /// resized in place, and all other scratch is thread-local and reused.
+    ///
+    /// # Panics
+    /// Panics if `fixed.len() + 2` is not the model's feature count, or
+    /// if an axis holds more than `u32::MAX` values.
+    pub fn predict_grid(&self, fixed: &[f64], a: &[f64], b: &[f64], out: &mut Vec<f64>) {
+        self.check_width(fixed.len() + 2, "predict_grid");
+        assert!(a.len().max(b.len()) <= u32::MAX as usize, "FlatGbt::predict_grid: axis too long");
+        out.clear();
+        if a.is_empty() || b.is_empty() {
+            return;
+        }
+        Q_SCRATCH.with(|s| {
+            let g = &mut s.borrow_mut().grid;
+            g.fixed.clear();
+            g.fixed.extend(fixed.iter().map(|&v| v as f32));
+            g.a.sort(a);
+            g.b.sort(b);
+            self.qnodes.score_grid(g, self.init, self.learning_rate);
+            // Scatter the sorted-order cells back to the caller's order.
+            let nb = b.len();
+            out.resize(a.len() * nb, 0.0);
+            for (&ia, sums) in g.a.order.iter().zip(g.acc.chunks_exact(nb)) {
+                let row = &mut out[ia as usize * nb..(ia as usize + 1) * nb];
+                for (&ib, &sum) in g.b.order.iter().zip(sums) {
+                    row[ib as usize] = sum;
+                }
+            }
+        });
+    }
 }
 
 impl Regressor for FlatGbt {
@@ -529,6 +693,10 @@ impl Regressor for FlatGbt {
 
     fn predict(&self, x: &Matrix) -> Vec<f64> {
         self.predict_batch(x)
+    }
+
+    fn predict_grid(&self, fixed: &[f64], a: &[f64], b: &[f64], out: &mut Vec<f64>) {
+        FlatGbt::predict_grid(self, fixed, a, b, out)
     }
 
     fn name(&self) -> &'static str {
@@ -632,6 +800,52 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn grid_routes_ties_and_nan_like_the_batch() {
+        // Hand-built trees whose thresholds equal axis values exactly: a
+        // value equal to its threshold goes left, NaN goes right, on a
+        // fixed feature and on both axes.
+        let split = |feature: u32, threshold: f64, left: u32, right: u32| FlatNode {
+            feature,
+            threshold,
+            left,
+            right,
+            value: 0.0,
+        };
+        let leaf =
+            |value: f64| FlatNode { feature: LEAF, threshold: 0.0, left: 0, right: 0, value };
+        let trees = [
+            vec![
+                split(1, 2.0, 1, 2),
+                split(2, 5.0, 3, 4),
+                split(0, 0.5, 5, 6),
+                leaf(1.0),
+                leaf(2.0),
+                leaf(4.0),
+                leaf(8.0),
+            ],
+            vec![split(2, 5.0, 1, 2), leaf(16.0), leaf(32.0)],
+            vec![leaf(64.0)],
+        ];
+        let flat = FlatGbt::compile(&GradientBoosting::from_export(0.25, 0.5, 3, &trees));
+        let a = [3.0, 2.0, f64::NAN, 2.0, 1.0];
+        let b = [5.0, 7.0, f64::NAN, 5.0];
+        let mut grid = Vec::new();
+        for fixed in [0.5, 0.75, f64::NAN] {
+            flat.predict_grid(&[fixed], &a, &b, &mut grid);
+            let x = Matrix::from_fn(a.len() * b.len(), 3, |r, j| match j {
+                0 => fixed,
+                1 => a[r / b.len()],
+                _ => b[r % b.len()],
+            });
+            let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<u64>>();
+            assert_eq!(bits(&grid), bits(&flat.predict_batch(&x)), "fixed {fixed}");
+        }
+        // a = 2 ≤ 2 and b = 5 ≤ 5 both go left: leaves 1, 16 and 64.
+        flat.predict_grid(&[0.5], &[2.0], &[5.0], &mut grid);
+        assert_eq!(grid, [0.25 + 0.5 * 1.0 + 0.5 * 16.0 + 0.5 * 64.0]);
     }
 
     #[test]

@@ -94,6 +94,25 @@ pub trait Regressor: Send + Sync {
         self.predict(&m)[0]
     }
 
+    /// Predict the cartesian product `fixed ++ [a[i], b[j]]` into `out`,
+    /// row `i · b.len() + j`: the advisor's sweep of `(nodes, tile)`
+    /// candidates at a fixed `(O, V)`. The default materialises the rows
+    /// and calls [`Regressor::predict`]; a model that can score the grid
+    /// without its rows overrides it with identical results.
+    fn predict_grid(&self, fixed: &[f64], a: &[f64], b: &[f64], out: &mut Vec<f64>) {
+        out.clear();
+        if a.is_empty() || b.is_empty() {
+            return;
+        }
+        let w = fixed.len();
+        let x = Matrix::from_fn(a.len() * b.len(), w + 2, |r, j| match j {
+            j if j < w => fixed[j],
+            j if j == w => a[r / b.len()],
+            _ => b[r % b.len()],
+        });
+        *out = self.predict(&x);
+    }
+
     /// A short human-readable name ("GB", "KR", …) used in reports.
     fn name(&self) -> &'static str;
 }
@@ -136,6 +155,30 @@ mod tests {
     fn validate_accepts_good_input() {
         let x = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert!(validate_fit_inputs(&x, &[1.0, 2.0]).is_ok());
+    }
+
+    /// Predicts a number spelling out each row's features.
+    struct RowEcho;
+
+    impl Regressor for RowEcho {
+        fn fit(&mut self, _x: &Matrix, _y: &[f64]) -> Result<(), FitError> {
+            Ok(())
+        }
+        fn predict(&self, x: &Matrix) -> Vec<f64> {
+            (0..x.nrows()).map(|i| x.row(i).iter().fold(0.0, |acc, &f| acc * 10.0 + f)).collect()
+        }
+        fn name(&self) -> &'static str {
+            "echo"
+        }
+    }
+
+    #[test]
+    fn default_predict_grid_is_row_major_over_the_axes() {
+        let mut out = vec![7.0];
+        RowEcho.predict_grid(&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0, 7.0], &mut out);
+        assert_eq!(out, [1235.0, 1236.0, 1237.0, 1245.0, 1246.0, 1247.0]);
+        RowEcho.predict_grid(&[1.0, 2.0], &[], &[5.0], &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //!   models and on the 750-tree paper-config ensemble.
 //! * **Bit identity within the quantized path** — single-row, batched
 //!   and parallel (batches of at least 64 rows) calls return the same
-//!   `f64` bits, asserted with `==`.
+//!   `f64` bits, asserted with `==`, and so does the grid descent
+//!   (`predict_grid`) against `predict_batch` on the materialised grid:
+//!   on proptest-generated models and axes (unsorted, duplicated, NaN,
+//!   empty) and on the paper-config ensemble over 200 cold `(O, V)`.
 
 use chemcost_linalg::Matrix;
 use chemcost_ml::flat::{FlatGbt, QUANT_REL_TOL};
@@ -173,6 +176,69 @@ fn paper_config_model_within_tolerance() {
     }
 }
 
+/// The rows of the grid `fixed ++ [a[i], b[j]]`, row `i · b.len() + j`.
+fn grid_matrix(fixed: &[f64], a: &[f64], b: &[f64]) -> Matrix {
+    let mut x = Matrix::zeros(0, fixed.len() + 2);
+    for &ai in a {
+        for &bj in b {
+            let row: Vec<f64> = fixed.iter().copied().chain([ai, bj]).collect();
+            x.push_row(&row);
+        }
+    }
+    x
+}
+
+/// `predict_grid` against `predict_batch` on the materialised grid, bit
+/// for bit.
+fn grid_bits_match(flat: &FlatGbt, fixed: &[f64], a: &[f64], b: &[f64]) -> Result<(), String> {
+    let mut grid = vec![f64::NAN; 3];
+    flat.predict_grid(fixed, a, b, &mut grid);
+    let batch = flat.predict_batch(&grid_matrix(fixed, a, b));
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    if bits(&grid) == bits(&batch) {
+        Ok(())
+    } else {
+        Err(format!("fixed {fixed:?} a {a:?} b {b:?}: grid {grid:?} vs batch {batch:?}"))
+    }
+}
+
+#[test]
+fn paper_config_grid_is_bit_identical_over_cold_problems() {
+    // The served shape: the 750-tree paper-config ensemble swept over the
+    // advisor's (nodes × tile) grid at 200 (O, V) it never saw. Each
+    // problem takes a rotating window of ten node counts, largest first
+    // (so the axis arrives unsorted), which keeps the debug-build
+    // reference batches affordable.
+    let (x, y) = corpus(300, 4, 11);
+    let x = Matrix::from_fn(x.nrows(), 4, |i, j| match j {
+        0 => (40.0 + x[(i, 0)] * 3.1).round(),
+        1 => (250.0 + x[(i, 1)] * 13.5).round(),
+        2 => (5.0 + x[(i, 2)] * 9.0).round(),
+        _ => (40.0 + x[(i, 3)] * 1.4).round(),
+    });
+    let mut gb = GradientBoosting::paper_config();
+    gb.seed = 3;
+    gb.fit(&x, &y).unwrap();
+    let flat = FlatGbt::compile(&gb);
+    let nodes: Vec<f64> = [
+        5, 10, 15, 20, 25, 30, 35, 45, 50, 65, 70, 80, 90, 110, 120, 150, 185, 200, 220, 240, 260,
+        300, 320, 350, 400, 450, 500, 600, 700, 800, 900,
+    ]
+    .iter()
+    .map(|&n| n as f64)
+    .collect();
+    let tiles: Vec<f64> = (4..=18).map(|k| (k * 10) as f64).collect();
+    let mut h = 0x9E37_79B9_7F4A_7C15u64;
+    for _ in 0..200 {
+        h = h.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        let o = (40 + (h >> 33) % 311) as f64;
+        let v = (250 + (h >> 13) % 1351) as f64;
+        let start = (h >> 50) as usize % (nodes.len() - 10);
+        let window: Vec<f64> = nodes[start..start + 10].iter().rev().copied().collect();
+        grid_bits_match(&flat, &[o, v], &window, &tiles).unwrap();
+    }
+}
+
 #[test]
 fn compiled_model_survives_persistence_round_trip() {
     // serve loads models from disk via export/from_export; the flat
@@ -190,6 +256,43 @@ fn compiled_model_survives_persistence_round_trip() {
         FlatGbt::compile(&restored).predict_batch(&q),
         FlatGbt::compile(&gb).predict_batch(&q)
     );
+}
+
+/// A grid-axis value inside the corpus range, on a coarse lattice so
+/// duplicates are common, and NaN one time in ten.
+fn axis_value() -> impl Strategy<Value = f64> {
+    (0u32..66).prop_map(|k| if k < 60 { k as f64 * 1.7 } else { f64::NAN })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `predict_grid` equals `predict_batch` on the materialised grid bit
+    /// for bit, for unsorted axes with duplicates and NaN, NaN fixed
+    /// features, and empty axes.
+    #[test]
+    fn prop_grid_matches_batch_bit_for_bit(
+        d in 2usize..6,
+        n_estimators in 1usize..30,
+        max_depth in 1usize..8,
+        seed in 0u64..1000,
+        fixed in collection::vec(axis_value(), 4),
+        a in collection::vec(axis_value(), 0..14),
+        b in collection::vec(axis_value(), 0..14),
+    ) {
+        let (x, y) = corpus(90, d, seed);
+        let mut gb = GradientBoosting::new(n_estimators, max_depth, 0.15);
+        gb.seed = seed;
+        gb.fit(&x, &y).unwrap();
+        let flat = FlatGbt::compile(&gb);
+        let fixed = &fixed[..d - 2];
+        let empty: &[f64] = &[];
+        // The axes as drawn, swapped, and each against an empty partner.
+        for (a, b) in [(&a[..], &b[..]), (&b, &a), (&a, empty), (empty, &b)] {
+            let verdict = grid_bits_match(&flat, fixed, a, b);
+            prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+        }
+    }
 }
 
 proptest! {

@@ -1,9 +1,9 @@
 //! Micro-batched model inference.
 //!
-//! The event-loop server can have many `/v1/predict` and `/v1/advise`
-//! requests in flight at once, and `BENCH_baseline.json` shows the flat
-//! model is ~4.5× cheaper per row when rows are scored in one batched
-//! call than one call per row. The [`Batcher`] exploits that: worker
+//! The event-loop server can have many `/v1/predict` requests in flight
+//! at once, and `BENCH_baseline.json` shows the flat model is ~4.5×
+//! cheaper per row when rows are scored in one batched call than one
+//! call per row. The [`Batcher`] exploits that: worker
 //! threads hand it their evaluation matrices and block; a collector
 //! thread coalesces everything that arrives within a bounded window
 //! (default ≤200µs, `--batch-window-us`) or up to a row budget
@@ -12,11 +12,16 @@
 //!
 //! The window is a latency ceiling, not a floor: the collector flushes
 //! early when the row budget fills (`full`), and — the common
-//! low-traffic case — as soon as every thread currently inside a
-//! predict-capable route has already submitted its matrix (`drain`),
-//! because waiting any longer can only add latency, never batching.
-//! A request whose own matrix already meets the row budget (an advise
-//! sweep is ~465 rows) bypasses the queue entirely and scores inline.
+//! low-traffic case — as soon as every pending predict request (each
+//! counted once, from the moment it is queued for a worker; see
+//! [`Batcher::enter_route`]) has already submitted its matrix
+//! (`drain`), because waiting any longer can only add latency, never
+//! batching. A request whose own matrix already meets the row budget
+//! bypasses the queue entirely and scores inline.
+//!
+//! `/v1/advise` does not come here: its sweep is a `(nodes × tile)`
+//! grid at one `(O, V)`, which `FlatGbt::predict_grid` scores inline
+//! with one descent per tree — cheaper than any batch of its rows.
 //!
 //! Each flush increments `chemcost_batch_flush_total{reason}` and
 //! records the coalesced row count in `chemcost_batch_size`
@@ -52,9 +57,9 @@ label_enum! {
         Full => "full",
         /// The `--batch-window-us` wait expired.
         Window => "window",
-        /// Every thread inside a predict-capable route had already
-        /// submitted — nothing more could join, so waiting would only add
-        /// latency. The common flush at low concurrency.
+        /// Every pending predict request had already submitted —
+        /// nothing more could join, so waiting would only add latency.
+        /// The common flush at low concurrency.
         Drain => "drain",
         /// The batcher is shutting down; leftovers are scored, never dropped.
         Shutdown => "shutdown",
@@ -84,9 +89,10 @@ struct Shared {
     /// Signaled on submit and on shutdown.
     arrived: Condvar,
     shutdown: AtomicBool,
-    /// Threads currently inside a predict-capable route (whether or not
-    /// they have submitted yet). The collector flushes early once every
-    /// one of them is accounted for in the queue.
+    /// Pending predict requests, queued or being handled (whether or
+    /// not they have submitted yet), one [`RouteGuard`] each. The
+    /// collector flushes early once every one of them is accounted for
+    /// in the queue.
     interested: AtomicUsize,
 }
 
@@ -146,9 +152,12 @@ impl Batcher {
         self.config
     }
 
-    /// Mark the calling thread as inside a predict-capable route for the
-    /// lifetime of the returned guard. The collector uses this count to
-    /// flush as soon as no more submissions can arrive (`drain`).
+    /// Count one pending predict request for the lifetime of the
+    /// returned guard. The collector uses this count to flush as soon as
+    /// no more submissions can arrive (`drain`), so each request must
+    /// hold exactly one guard from the moment it is queued until its
+    /// handler returns: a request counted twice keeps every flush
+    /// waiting out the window.
     pub fn enter_route(self: &Arc<Self>) -> RouteGuard {
         self.shared.interested.fetch_add(1, Ordering::SeqCst);
         RouteGuard { shared: Arc::clone(&self.shared) }
@@ -160,7 +169,7 @@ impl Batcher {
     pub fn predict(&self, flat: &Arc<FlatGbt>, x: Matrix) -> Vec<f64> {
         let submitted = Instant::now();
         let rows = x.nrows();
-        // Already a full batch on its own (e.g. an advise sweep):
+        // Already a full batch on its own (a large `/v1/predict`):
         // coalescing cannot help, so score inline and skip the queue.
         if rows >= self.config.max_rows {
             self.metrics.record_batch_flush(FlushReason::Full, rows);
@@ -238,7 +247,8 @@ impl Drop for Batcher {
     }
 }
 
-/// RAII counter for threads inside predict-capable routes.
+/// RAII count of one pending predict request (see
+/// [`Batcher::enter_route`]).
 pub struct RouteGuard {
     shared: Arc<Shared>,
 }
@@ -280,8 +290,8 @@ fn collect_loop(shared: &Shared, config: BatcherConfig, metrics: &Metrics) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break FlushReason::Shutdown;
                 }
-                // Everyone inside a predict-capable route has already
-                // submitted: flush now, nothing more is coming.
+                // Every pending predict request has already submitted:
+                // flush now, nothing more is coming.
                 if shared.interested.load(Ordering::SeqCst) <= queue.len() {
                     break FlushReason::Drain;
                 }

@@ -259,6 +259,9 @@ struct Loop<'a> {
     /// be recovered: release it, accept the pending connection, close
     /// it immediately, reclaim it. See [`Loop::accept_failed`].
     fd_reserve: Option<File>,
+    /// Jobs parsed during this wake, handed to the pool together at its
+    /// end (see [`Loop::submit_ready`]): `(token, seq, keep_alive, job)`.
+    ready: VecDeque<(usize, u64, bool, crate::pool::Job)>,
 }
 
 /// Run the event loop until graceful drain completes. Owns the
@@ -292,6 +295,7 @@ pub(crate) fn run(
         done_rx,
         draining: false,
         fd_reserve: File::open("/dev/null").ok(),
+        ready: VecDeque::new(),
     };
     let mut events: Vec<Event> = Vec::new();
 
@@ -309,6 +313,7 @@ pub(crate) fn run(
             }
         }
         lp.drain_completions();
+        lp.submit_ready();
         lp.maybe_start_drain();
         lp.sweep_idle();
         lp.metrics.loop_iteration.observe(iter_start.elapsed());
@@ -539,9 +544,8 @@ impl Loop<'_> {
         }
     }
 
-    /// Hand one parsed request to the worker pool. A full compute queue
-    /// is rung 2 of the shed ladder: this request gets a `503`, but the
-    /// connection (and everything else pipelined on it) survives.
+    /// Build the worker job for one parsed request and queue it for
+    /// [`Loop::submit_ready`] at the end of this wake.
     fn dispatch(
         &mut self,
         token: usize,
@@ -565,12 +569,12 @@ impl Loop<'_> {
         let tx = self.done_tx.clone();
         let waker = Arc::clone(&self.waker);
         // Declare batch interest for the whole queue wait: a parsed
-        // predict/advise request can still join a micro-batch, so the
-        // collector must not drain while it sits in the compute queue.
-        // The guard moves into the job and drops when handling ends.
+        // predict request can still join a micro-batch, so the collector
+        // must not drain while it sits in the compute queue. The guard
+        // moves into the job and on into the handler, so the request is
+        // counted once; it drops when handling ends.
         let batch_interest =
-            self.router.is_batched_path(&req.path).then(|| self.router.batch_interest());
-        self.metrics.pool_queue_depth.inc();
+            self.router.is_batched_path(&req.path).then(|| self.router.batch_interest()).flatten();
         let job: crate::pool::Job = Box::new(move || {
             metrics.pool_queue_depth.dec();
             // Chaos slow-io: the stall a seizing disk or GC pause would
@@ -582,14 +586,31 @@ impl Loop<'_> {
             }
             timeline.stamp_dequeued();
             crate::timeline::begin_capture();
-            let response = router.handle_from(&req, arrived);
-            drop(batch_interest);
+            let response = router.handle_queued(&req, arrived, batch_interest);
             timeline.stamp_handler_done();
             timeline.absorb(crate::timeline::end_capture(), response.status);
             let _ = tx.send(Done { token, seq, response, keep_alive, timeline: Some(timeline) });
             let _ = waker.wake();
         });
-        if self.pool.execute(job).is_err() {
+        self.ready.push_back((token, seq, keep_alive, job));
+    }
+
+    /// Hand every job parsed during this wake to the worker pool, in
+    /// arrival order. Submitting only once the wake's parsing is done
+    /// means every predict that arrived together already holds its
+    /// batch-interest guard before any of them can submit to the
+    /// batcher, so they coalesce instead of each draining alone. A full
+    /// compute queue is rung 2 of the shed ladder: that request gets a
+    /// `503`, but the connection (and everything else pipelined on it)
+    /// survives.
+    fn submit_ready(&mut self) {
+        // A shed answer can free a pipeline slot, and parsing the next
+        // request queues it here too; the loop picks it up.
+        while let Some((token, seq, keep_alive, job)) = self.ready.pop_front() {
+            self.metrics.pool_queue_depth.inc();
+            if self.pool.execute(job).is_ok() {
+                continue;
+            }
             self.metrics.pool_queue_depth.dec();
             self.metrics.record_shed();
             chemcost_obs::event!(

@@ -8,12 +8,13 @@
 //! `/v1/predict` and `/v1/advise` both evaluate the registry's compiled
 //! [`chemcost_ml::flat::FlatGbt`] (quantized traversal, within the
 //! documented `QUANT_REL_TOL` of the recursive ensemble and identical
-//! across the batched/unbatched serving paths), `/v1/advise` runs **one**
-//! candidate sweep per request via [`Advisor::sweep`] no matter how many
-//! questions the body asks, and fully-answered advise responses are
-//! replayed from a keyed, sharded LRU [`AdviseCache`] until the model is
-//! reloaded — a warm hit probes with a borrowed key and replays the
-//! `Arc<str>` body without copying it.
+//! across the batched/unbatched serving paths). `/v1/predict` rows ride
+//! the micro-batcher; `/v1/advise` runs **one** candidate sweep per
+//! request via [`Advisor::sweep`] no matter how many questions the body
+//! asks, scored inline as one grid evaluation, and fully-answered advise
+//! responses are replayed from a keyed, sharded LRU [`AdviseCache`]
+//! until the model is reloaded — a warm hit probes with a borrowed key
+//! and replays the `Arc<str>` body without copying it.
 
 use crate::batcher::{Batcher, RouteGuard};
 use crate::cache::{AdviseCache, AdviseKeyRef, CachedRec};
@@ -209,8 +210,8 @@ impl Router {
     }
 
     /// Install the micro-batcher all clones of this router will score
-    /// `/v1/predict` and `/v1/advise` through. One-shot: later calls on
-    /// the same router (or any clone) are ignored.
+    /// `/v1/predict` through. One-shot: later calls on the same router
+    /// (or any clone) are ignored.
     pub fn install_batcher(&self, batcher: Arc<Batcher>) {
         let _ = self.batcher.set(batcher);
     }
@@ -220,32 +221,28 @@ impl Router {
         self.batcher.get()
     }
 
-    /// Mark the calling thread as inside a predict-capable route while
-    /// the guard lives, so the batcher knows whether more submissions
-    /// can still arrive. `None` (no batcher installed) costs nothing.
+    /// Mark a `/v1/predict` request as pending for the batcher while the
+    /// guard lives, so the collector knows whether more submissions can
+    /// still arrive. `None` (no batcher installed) costs nothing.
     ///
-    /// The event loop also takes a guard per *parsed* predict request at
-    /// worker-handoff time (see `event_loop::EventLoop::dispatch`):
-    /// requests sitting in the compute queue can still join a batch, so
-    /// counting them keeps the collector from draining a micro-batch
-    /// while queued submitters are seconds of scheduling away. Handlers
-    /// keep their own guard for in-process callers (tests, benches, the
-    /// CLI) that never cross the event loop.
-    fn enter_batched_route(&self) -> Option<RouteGuard> {
+    /// The event loop takes the guard at worker-handoff time (see
+    /// `event_loop::EventLoop::dispatch`) — a request sitting in the
+    /// compute queue can still join a batch, so counting it keeps the
+    /// collector from draining a micro-batch while a queued submitter is
+    /// a scheduling slice away — and hands it to
+    /// [`Router::handle_queued`], which passes it on to the handler. Each
+    /// request is counted exactly once: the handler takes its own guard
+    /// only when none was handed over (in-process callers: tests,
+    /// benches, the CLI).
+    pub(crate) fn batch_interest(&self) -> Option<RouteGuard> {
         self.batcher.get().map(Batcher::enter_route)
     }
 
-    /// Whether `path` routes to a handler that submits to the batcher —
+    /// Whether `path` routes to the handler that submits to the batcher —
     /// the event loop pins batch interest across the worker-queue wait
     /// for exactly these requests.
     pub(crate) fn is_batched_path(&self, path: &str) -> bool {
-        self.batcher.get().is_some() && matches!(path, "/v1/predict" | "/v1/advise")
-    }
-
-    /// Take a batch-interest guard (see [`Router::enter_batched_route`]);
-    /// `pub(crate)` for the event loop's queued-request interest.
-    pub(crate) fn batch_interest(&self) -> Option<RouteGuard> {
-        self.enter_batched_route()
+        path == "/v1/predict"
     }
 
     /// Apply `ms` as the deadline for requests without `X-Deadline-Ms`
@@ -298,6 +295,18 @@ impl Router {
     /// the request entered the server (its enqueue time) — so time spent
     /// waiting in the worker-pool queue counts against the deadline.
     pub fn handle_from(&self, req: &Request, arrived: Instant) -> Response {
+        self.handle_queued(req, arrived, None)
+    }
+
+    /// Like [`Router::handle_from`], for a request that already holds the
+    /// batch-interest guard the event loop took when it queued the
+    /// request (see [`Router::batch_interest`]).
+    pub(crate) fn handle_queued(
+        &self,
+        req: &Request,
+        arrived: Instant,
+        interest: Option<RouteGuard>,
+    ) -> Response {
         let started = Instant::now();
         let trace_id: Arc<str> = match req.headers.get("x-request-id").map(|v| v.trim()) {
             Some(id) if !id.is_empty() => Arc::from(id),
@@ -325,7 +334,7 @@ impl Router {
             );
         }
         self.metrics.in_flight.inc();
-        let (route, mut response) = self.dispatch(req, deadline);
+        let (route, mut response) = self.dispatch(req, deadline, interest);
         self.metrics.in_flight.dec();
         // Two clocks: `handler` is pure handler time (the one latency
         // histogram, unlabelled and shared by every route, keeps its
@@ -367,6 +376,7 @@ impl Router {
         &self,
         req: &Request,
         deadline: Result<Option<Deadline>, String>,
+        interest: Option<RouteGuard>,
     ) -> (Route, Response) {
         let deadline = match deadline {
             Ok(d) => d,
@@ -412,7 +422,7 @@ impl Router {
             ("POST", "/v1/lifecycle/freeze") => {
                 (Route::Lifecycle, self.lifecycle_freeze(&req.body))
             }
-            ("POST", "/v1/predict") => (Route::Predict, self.predict(&req.body)),
+            ("POST", "/v1/predict") => (Route::Predict, self.predict(&req.body, interest)),
             ("POST", "/v1/advise") => (Route::Advise, self.advise(&req.body, deadline)),
             ("POST", "/v1/observe") => (Route::Observe, self.observe(&req.body)),
             ("POST", "/v1/shutdown") => {
@@ -540,10 +550,11 @@ impl Router {
         }
     }
 
-    fn predict(&self, body: &[u8]) -> Response {
+    fn predict(&self, body: &[u8], interest: Option<RouteGuard>) -> Response {
         // Declare interest to the batcher before parsing: a concurrent
-        // sibling mid-parse still counts as a pending submission.
-        let _batch_interest = self.enter_batched_route();
+        // sibling mid-parse still counts as a pending submission. A
+        // queued request arrives holding its guard; count it once.
+        let _batch_interest = interest.or_else(|| self.batch_interest());
         // Fast scan of the canonical body shape: borrowed strings, no
         // Json tree. Anything unusual (escapes, extra keys, bad values)
         // falls back to the tree parser, which owns every error message.
@@ -656,9 +667,6 @@ impl Router {
     // "budget"/"deadline" fields are the user's node-hour and
     // job-walltime questions. Distinct concepts.
     fn advise(&self, body: &[u8], wall_budget: Option<Deadline>) -> Response {
-        // Declare interest to the batcher before parsing: a concurrent
-        // sibling mid-parse still counts as a pending submission.
-        let _batch_interest = self.enter_batched_route();
         // Fast scan of the canonical body shape: borrowed strings, no
         // Json tree, nothing allocated before the cache probe. Anything
         // unusual falls back to the tree parser, which owns every error
@@ -796,8 +804,9 @@ impl Router {
         }
 
         // One sweep answers every question in the request: the flat model
-        // predicts the whole candidate matrix in a single batched call and
-        // the per-goal answers are reductions over that shared sweep.
+        // scores the whole (nodes × tile) candidate grid in one call, inline
+        // on this worker, and the per-goal answers are reductions over that
+        // shared sweep.
         let sweep_started = Instant::now();
         let sweep = {
             let _span = obs::span!(
@@ -809,14 +818,7 @@ impl Router {
                 model = resolved.name.as_str(),
                 model_version = resolved.version,
             );
-            let advisor = Advisor::new(resolved.flat.as_ref(), machine);
-            match self.batcher.get() {
-                // The sweep's one batched evaluation rides the
-                // micro-batcher like any other, so concurrent advise
-                // and predict requests coalesce into shared calls.
-                Some(batcher) => advisor.sweep_with(o, v, |x| batcher.predict(&resolved.flat, x)),
-                None => advisor.sweep(o, v),
-            }
+            Advisor::new(resolved.flat.as_ref(), machine).sweep(o, v)
         };
         self.metrics.advise_stages[AdviseStage::Sweep].observe(sweep_started.elapsed());
 

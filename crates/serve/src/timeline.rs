@@ -50,8 +50,8 @@ pub struct HandlerNotes {
     /// Total time the worker spent blocked in `Batcher::predict`
     /// (window wait + the coalesced model call), across all calls.
     pub batch_wait: Duration,
-    /// `Batcher::predict` calls the request made (an advise sweep and a
-    /// predict both make one; a cache hit makes none).
+    /// `Batcher::predict` calls the request made (a predict makes one;
+    /// advise scores its sweep inline and makes none).
     pub batch_calls: u32,
     /// Coalesced rows of the batched model calls that served this
     /// request (the whole batch, not just this request's share).

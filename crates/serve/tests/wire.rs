@@ -383,6 +383,43 @@ fn soak_100_keepalive_connections_on_two_workers_without_sheds() {
 
 // -- micro-batching is observable on the wire ----------------------------
 
+/// The value of the `/metrics` sample line `series` (name plus labels).
+fn metric(body: &str, series: &str) -> Option<f64> {
+    body.lines()
+        .find_map(|l| l.strip_prefix(series).and_then(|rest| rest.strip_prefix(' ')))
+        .and_then(|v| v.parse().ok())
+}
+
+/// A lone predict is counted once as a pending batcher submission, so the
+/// collector flushes it as `drain` the moment it arrives instead of
+/// sleeping out the window.
+#[test]
+fn lone_predict_drains_without_waiting_the_window() {
+    use chemcost_serve::BatcherConfig;
+    let server = new_server(2)
+        .with_batch_config(BatcherConfig { window: Duration::from_millis(50), max_rows: 1024 });
+    let addr = server.local_addr().unwrap();
+    let server_thread = std::thread::spawn(move || server.run());
+
+    let mut stream = connect(addr);
+    let started = Instant::now();
+    stream.write_all(&http("POST", "/v1/predict", PREDICT_BODY, false)).unwrap();
+    let resp = read_response(&mut stream, &mut Vec::new());
+    let elapsed = started.elapsed();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert!(elapsed < Duration::from_millis(25), "lone predict waited the window: {elapsed:?}");
+
+    stream.write_all(&http("GET", "/metrics", "", true)).unwrap();
+    let metrics = read_response(&mut stream, &mut Vec::new()).body;
+    assert_eq!(metric(&metrics, r#"chemcost_batch_flush_total{reason="drain"}"#), Some(1.0));
+    assert_eq!(metric(&metrics, r#"chemcost_batch_flush_total{reason="window"}"#), Some(0.0));
+
+    let mut trigger = connect(addr);
+    trigger.write_all(&http("POST", "/v1/shutdown", "", true)).unwrap();
+    let _ = read_response(&mut trigger, &mut Vec::new());
+    server_thread.join().unwrap().expect("clean shutdown");
+}
+
 /// Concurrent predicts through real sockets land in the batcher: with a
 /// generous window, simultaneous requests coalesce into fewer flat-model
 /// batch calls than requests.
